@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Perf-regression gate: fresh ``BENCH_*.json`` vs the committed baseline.
 
-Run *after* the benchmark suite has rewritten ``benchmarks/BENCH_events.json``,
-``benchmarks/BENCH_livesim.json`` and ``benchmarks/BENCH_tracking.json`` in
-the working tree.  Every events/s metric present in both the fresh file and
-the committed (``git show HEAD:...``) baseline is compared; the script fails
-(exit 1) if any metric regresses by more than ``--threshold`` (default 30 %).
+Run *after* the benchmark suite has written its fresh measurements to
+``benchmarks/out/BENCH_*.json`` (an ignored directory; the suite never
+touches the tracked baselines).  Every events/s metric present in both the
+fresh file and the committed (``git show HEAD:benchmarks/...``) baseline is
+compared; the script fails (exit 1) if any metric regresses by more than
+``--threshold`` (default 30 %).
 
 Machines differ: both BENCH files carry a ``calibration_ops_per_sec``
 constant (a plain-python loop measured in the same run), and each baseline
@@ -28,6 +29,7 @@ import sys
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
+FRESH_DIR = BENCH_DIR / "out"
 FILES = (
     "BENCH_events.json",
     "BENCH_livesim.json",
@@ -88,7 +90,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     # Calibration: prefer the fresh engine-bench constant; fall back to 1:1.
-    events_path = BENCH_DIR / "BENCH_events.json"
+    events_path = FRESH_DIR / "BENCH_events.json"
     fresh_events = (
         json.loads(events_path.read_text()) if events_path.exists() else {}
     )
@@ -101,7 +103,7 @@ def main(argv=None) -> int:
     failures = []
     compared = 0
     for name in FILES:
-        fresh_path = BENCH_DIR / name
+        fresh_path = FRESH_DIR / name
         if not fresh_path.exists():
             print(f"  {name}: no fresh file (did the bench suite run?)")
             failures.append((name, "missing fresh file"))

@@ -7,9 +7,16 @@ to run the paper's complete parameter grids (matching EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import json
 import os
+import pathlib
 
 import pytest
+
+#: Fresh measurements go here (ignored by git).  The tracked
+#: ``benchmarks/BENCH_*.json`` are the baseline ``check_perf.py`` diffs
+#: them against; a baseline changes only by copying a file out of here.
+BENCH_OUT = pathlib.Path(__file__).resolve().parent / "out"
 
 
 def full_run() -> bool:
@@ -35,11 +42,11 @@ def is_full_run() -> bool:
     return full_run()
 
 
-def merge_bench(path, section: str, payload: dict) -> None:
-    """Insert/replace one section of a ``BENCH_*.json`` file, keeping the
+def merge_bench(name: str, section: str, payload: dict) -> None:
+    """Insert/replace one section of ``BENCH_OUT / name``, keeping the
     others (shared by the bench modules so the file format cannot drift)."""
-    import json
-
+    BENCH_OUT.mkdir(exist_ok=True)
+    path = BENCH_OUT / name
     data = {}
     if path.exists():
         data = json.loads(path.read_text())

@@ -18,8 +18,6 @@ Two sections, refreshed every bench run:
 
 from __future__ import annotations
 
-import pathlib
-
 from repro.byz import BYZ_PRESETS, error_vs_f, get_byz_preset, run_byz
 from repro.livesim import LiveConfig, LiveSimulation
 from repro.workloads import cached_instance, get_scenario
@@ -27,7 +25,7 @@ from repro.workloads import cached_instance, get_scenario
 from .conftest import full_run, merge_bench
 from .test_event_engine import calibrate_ops_per_sec
 
-BENCH_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_byz.json"
+BENCH = "BENCH_byz.json"
 
 #: trimmed default grid: one self-lie model and one third-party-forgery
 #: model; REPRO_FULL=1 sweeps the whole registered family.
@@ -59,7 +57,7 @@ def test_byz_error_vs_f_curves():
             "robust": {str(f): robust[f] for f in fs},
             "legacy_at_f_max": legacy.error,
         }
-    merge_bench(BENCH_PATH, "error_vs_f", curves)
+    merge_bench(BENCH, "error_vs_f", curves)
 
 
 def test_byz_robust_merge_overhead():
@@ -92,7 +90,7 @@ def test_byz_robust_merge_overhead():
     # loudly if it ever makes the simulator pathologically slow.
     assert rep_robust.events_per_sec > 0.1 * rep_legacy.events_per_sec
     merge_bench(
-        BENCH_PATH,
+        BENCH,
         "robust_merge_overhead",
         {
             "m": m,

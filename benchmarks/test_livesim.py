@@ -27,7 +27,7 @@ Three benches cover the subsystem's acceptance criteria:
 
 All write their measurements — events/sec throughput, time-to-within-
 bound per preset (in sim time and agent rounds) and cost-vs-time curves
-— into ``benchmarks/BENCH_livesim.json`` so the perf trajectory is
+— into ``benchmarks/out/BENCH_livesim.json`` so the perf trajectory is
 tracked PR-over-PR (``benchmarks/check_perf.py`` gates regressions).
 ``REPRO_FULL=1`` runs each scenario at its native production size.
 """
@@ -35,7 +35,6 @@ tracked PR-over-PR (``benchmarks/check_perf.py`` gates regressions).
 from __future__ import annotations
 
 import dataclasses
-import pathlib
 
 import numpy as np
 
@@ -90,15 +89,13 @@ PR3_EVENTS_PER_SEC = {
     "regional-surge": 32440.0,
 }
 
-BENCH_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_livesim.json"
-
 
 def _size(sc) -> int:
     return sc.m if full_run() else 16
 
 
 def _merge_bench(section: str, payload: dict) -> None:
-    merge_bench(BENCH_PATH, section, payload)
+    merge_bench("BENCH_livesim.json", section, payload)
 
 
 def _curve(report, stride: int = 4) -> list[list[float]]:
@@ -233,8 +230,7 @@ def test_livesim_m2000_scale():
     m = 2000 exercises every fast-path layer at once: the screened O(m)
     partner proposals (exact evaluation would cost seconds per
     proposal), the packed-ndarray gossip tables, the transposed-R
-    transfer kernel, adaptive back-off, and the scheduler auto-promotion
-    machinery.
+    transfer kernel and adaptive back-off.
     """
     sc = next(s for s in PRESETS if s.name == "regional-surge")
     m = 2000
@@ -304,7 +300,6 @@ def test_livesim_m2000_scale():
             "events_per_sec": report.events_per_sec,
             "speedup_vs_pr6": speedup_vs_pr6,
             "sim_wall_s": report.wall_s,
-            "scheduler_in_use": sim.env.scheduler_in_use,
             "mean_view_age_rounds": report.mean_view_age / interval,
             "cost_curve": _curve(report, stride=16),
         },
@@ -389,7 +384,6 @@ def test_livesim_m5000_scale():
             "events_processed": report.events_processed,
             "events_per_sec": report.events_per_sec,
             "sim_wall_s": report.wall_s,
-            "scheduler_in_use": sim.env.scheduler_in_use,
             "mean_view_age_rounds": report.mean_view_age / interval,
             "cost_curve": _curve(report, stride=16),
         },

@@ -34,15 +34,11 @@ from repro.workloads import cached_instance, get_scenario
 from .conftest import full_run, merge_bench
 from .test_event_engine import calibrate_ops_per_sec
 
-BENCH_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_obs.json"
-LIVESIM_BENCH_PATH = (
-    pathlib.Path(__file__).resolve().parent / "BENCH_livesim.json"
-)
 ARTIFACTS_DIR = pathlib.Path(__file__).resolve().parent / "artifacts"
 
 
 def _merge_bench(section: str, payload: dict) -> None:
-    merge_bench(BENCH_PATH, section, payload)
+    merge_bench("BENCH_obs.json", section, payload)
 
 
 def test_obs_overhead_disabled_vs_enabled():
@@ -172,7 +168,7 @@ def test_obs_profile_attribution():
     assert abs(sum(shares) - 1.0) < 1e-9
 
     merge_bench(
-        LIVESIM_BENCH_PATH,
+        "BENCH_livesim.json",
         "profile",
         {
             "m": m,

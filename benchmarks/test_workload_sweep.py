@@ -7,7 +7,7 @@ Two benches:
   time (the historical throughput bench).
 * :func:`test_sweep_backend_speedup` runs the same 7-preset grid on the
   ``serial`` and ``process`` backends, asserts the results are
-  identical, and writes ``benchmarks/BENCH_sweep.json`` — per-cell and
+  identical, and writes ``benchmarks/out/BENCH_sweep.json`` — per-cell and
   per-solver wall times plus the parallel speedup — so the perf
   trajectory is tracked PR-over-PR.  The ≥2× speedup assertion only
   applies on machines with ≥4 cores (a single-core box cannot speed up).
@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import json
 import os
-import pathlib
 import time
 
 from repro.workloads import PRESETS, ScenarioRunner, clear_cache
 
-from .conftest import full_run
+from .conftest import BENCH_OUT, full_run
 
 SIZES = (50, 100, 200) if full_run() else (12, 20)
 SEEDS = (0, 1, 2) if full_run() else (0, 1)
@@ -48,7 +47,7 @@ def assert_speedup() -> bool:
         return explicit == "1"
     return full_run()
 
-BENCH_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_sweep.json"
+BENCH_PATH = BENCH_OUT / "BENCH_sweep.json"
 
 
 def test_workload_sweep_all_presets(benchmark):
@@ -162,6 +161,7 @@ def test_sweep_backend_speedup():
             for r in serial
         ],
     }
+    BENCH_OUT.mkdir(exist_ok=True)
     BENCH_PATH.write_text(json.dumps(bench, indent=1) + "\n")
 
     print()

@@ -77,8 +77,7 @@ def main() -> None:
         f"(+{ideal_rep.agents.skipped_proposals} memoized away, "
         f"{ideal_rep.net.sent} control messages, mean view age "
         f"{ideal_rep.mean_view_age / interval:.1f} rounds), "
-        f"{ideal_rep.events_per_sec:,.0f} events/s on the "
-        f"'{ideal_sim.env.scheduler_in_use}' scheduler"
+        f"{ideal_rep.events_per_sec:,.0f} events/s"
     )
     print(
         f"async ideal traffic: {ideal_rep.requests_completed} requests served, "

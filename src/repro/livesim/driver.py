@@ -268,6 +268,10 @@ class LiveReport:
 class LiveSimulation:
     """Run gossip + MinE + churn (+ request traffic) as one live system.
 
+    Every process is a chain of bare callbacks on one
+    :class:`repro.sim.events.Environment` (``self.env``), whose single
+    ``(time, seq)`` heap orders all of them.
+
     Parameters
     ----------
     inst:
@@ -284,10 +288,6 @@ class LiveSimulation:
     optimum:
         Offline optimum for error/convergence metrics — a cost, or an
         :class:`AllocationState` (also enabling per-server load errors).
-    scheduler:
-        Event-queue scheduler (``"auto"``, ``"heap"``, ``"calendar"`` —
-        see :class:`repro.sim.events.Environment`); all three produce
-        identical traces, which the determinism suite asserts.
     obs:
         An :class:`repro.obs.Observability` context; defaults to the
         process-global one installed by :func:`repro.obs.enable` (usually
@@ -307,7 +307,6 @@ class LiveSimulation:
         seed: int = 0,
         state: AllocationState | None = None,
         optimum: "AllocationState | float | None" = None,
-        scheduler: str = "auto",
         obs: "_obs.Observability | None" = None,
         profile: bool = False,
     ):
@@ -328,7 +327,7 @@ class LiveSimulation:
         cfg = self.config
         self.obs = obs if obs is not None else _obs.get_active()
         self._tracer = self.obs.tracer if self.obs is not None else None
-        self.env = Environment(scheduler=scheduler)
+        self.env = Environment()
         if profile:
             self._profiler = _obs.CallbackProfiler()
             self.env.set_profiler(self._profiler)

@@ -66,9 +66,8 @@ Throughput choices that matter on the hot path:
   representation choice; the message sequence, RNG streams and merge
   results are identical.
 * **Callback cycles.**  Each server's publish/push loop is a self-
-  re-arming ``call_at`` callback, not a generator process, with its
-  jitter and peer draws taken from block-buffered (bit-identical)
-  streams.
+  re-arming ``call_at`` callback, with its jitter and peer draws taken
+  from block-buffered (bit-identical) streams.
 
 ``update_counts[i]`` counts the times server ``i``'s *view content*
 actually changed (fresh values merged in, or its own entry re-published
@@ -367,7 +366,6 @@ class AsyncGossip:
             np.flatnonzero(np.isfinite(inst.latency[i]) & (np.arange(m) != i))
             for i in range(m)
         ]
-        self._peers_list = [p.tolist() for p in self.peers]
         # Block-buffered per-server draws (bit-identical streams, a
         # fraction of the per-call Generator dispatch cost).
         self._jitter = [BufferedUniform(r) for r in self.rngs]
@@ -948,7 +946,7 @@ class AsyncGossip:
         draw = self._peer_draw[i]
         if draw is not None and self.alive[i]:
             self.publish(i)
-            j = self._peers_list[i][draw.next()]
+            j = int(self.peers[i][draw.next()])
             self.stats.pushes += 1
             tracer = self._tracer
             if tracer is None:

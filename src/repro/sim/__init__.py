@@ -1,25 +1,11 @@
 """Discrete-event simulation substrate validating the analytic model."""
 
-from .events import (
-    CALENDAR_THRESHOLD,
-    CalendarQueue,
-    Environment,
-    Event,
-    HeapQueue,
-    Process,
-    Timeout,
-)
+from .events import Environment
 from .runner import SimulationReport, simulate_snapshot, simulate_stream
 from .server import Request, SimServer
 
 __all__ = [
     "Environment",
-    "Event",
-    "Timeout",
-    "Process",
-    "HeapQueue",
-    "CalendarQueue",
-    "CALENDAR_THRESHOLD",
     "SimServer",
     "Request",
     "SimulationReport",

@@ -36,9 +36,8 @@ class SimServer:
     """A FIFO server processing requests at a fixed speed.
 
     Service of a request of ``size`` takes ``size / speed`` time units —
-    the paper's constant-throughput assumption.  Runs entirely on the
-    engine's callback fast path: one ``call_at`` per service completion,
-    no generator process and no wake-up event objects.
+    the paper's constant-throughput assumption.  Each service completion
+    is one ``call_at`` callback on the engine.
 
     ``obs`` (a :class:`repro.obs.Observability`) is optional; when set,
     each completion records a ``request.service`` span parented on the

@@ -161,7 +161,6 @@ class TrackingSimulation:
         config: LiveConfig | None = None,
         seed: int = 0,
         rel_tol: float = 0.02,
-        scheduler: str = "auto",
         tail_rounds: float | None = None,
         compute_optimum: bool = True,
         optimum_tol: float = 1e-9,
@@ -184,8 +183,7 @@ class TrackingSimulation:
 
         inst0 = inst.with_loads(self.epochs_spec[0][1])
         self.sim = LiveSimulation(
-            inst0, config=config, seed=seed, scheduler=scheduler,
-            obs=obs, profile=profile,
+            inst0, config=config, seed=seed, obs=obs, profile=profile,
         )
         self.obs = self.sim.obs  # resolved context (may be process-global)
         self._interval = self.sim.config.agent_interval

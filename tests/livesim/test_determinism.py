@@ -132,43 +132,6 @@ class TestChurnDropsQueuedRequests:
         assert [r.owner for r in server.completed] == [9]
 
 
-class TestSchedulerIdentity:
-    """The calendar-queue scheduler replays the heap's event order
-    exactly: same trace, same event count, same final allocation, on
-    every registered preset (the ISSUE-4 acceptance determinism suite)."""
-
-    def test_all_presets_identical_across_schedulers(self):
-        from repro.workloads import PRESETS
-
-        cfg = get_live_preset("lossy")  # stochastic drops exercise RNG order
-        for sc in PRESETS:
-            inst = cached_instance(sc, 12, 0)
-            sim_h = LiveSimulation(inst, config=cfg, seed=5, scheduler="heap")
-            rep_h = sim_h.run(rounds=40)
-            sim_c = LiveSimulation(inst, config=cfg, seed=5, scheduler="calendar")
-            rep_c = sim_c.run(rounds=40)
-            assert rep_h.trace == rep_c.trace, f"{sc.name}: traces diverged"
-            assert rep_h.trace, f"{sc.name}: trace should not be empty"
-            assert rep_h.events_processed == rep_c.events_processed
-            np.testing.assert_array_equal(sim_h.state.R, sim_c.state.R)
-            np.testing.assert_array_equal(rep_h.costs, rep_c.costs)
-            assert rep_h.net.sent == rep_c.net.sent
-            assert rep_h.agents == rep_c.agents
-            assert rep_h.gossip == rep_c.gossip
-
-    def test_churn_preset_identical_across_schedulers(self):
-        inst = cached_instance(get_scenario("paper-planetlab"), 12, 0)
-        cfg = get_live_preset("churn")
-        sim_h = LiveSimulation(inst, config=cfg, seed=11, scheduler="heap")
-        rep_h = sim_h.run(rounds=60)
-        sim_c = LiveSimulation(inst, config=cfg, seed=11, scheduler="calendar")
-        rep_c = sim_c.run(rounds=60)
-        assert rep_h.trace == rep_c.trace
-        assert rep_h.failures == rep_c.failures
-        assert rep_h.rejoins == rep_c.rejoins
-        np.testing.assert_array_equal(sim_h.state.R, sim_c.state.R)
-
-
 class TestBufferedDraws:
     """The block-buffered RNG helpers hand out exactly the values that
     the same number of scalar draws of that kind would produce."""

@@ -1,11 +1,11 @@
 """Tests for the discrete-event simulation engine."""
 
+import itertools
 import random
-import time
 
 import pytest
 
-from repro.sim.events import CalendarQueue, Environment, HeapQueue
+from repro.sim.events import Environment
 
 
 class TestTimeouts:
@@ -13,60 +13,60 @@ class TestTimeouts:
         env = Environment()
         log = []
 
-        def proc():
-            yield env.timeout(5.0)
+        def step(left):
             log.append(env.now)
-            yield env.timeout(2.5)
-            log.append(env.now)
+            if left:
+                env.call_in(2.5, step, left - 1)
 
-        env.process(proc())
+        env.call_in(5.0, step, 1)
         env.run()
         assert log == [5.0, 7.5]
 
     def test_negative_delay_rejected(self):
         env = Environment()
         with pytest.raises(ValueError):
-            env.timeout(-1.0)
+            env.call_in(-1.0, lambda _v: None)
 
     def test_run_until(self):
         env = Environment()
         log = []
 
-        def proc():
-            for _ in range(10):
-                yield env.timeout(1.0)
-                log.append(env.now)
+        def tick(left):
+            log.append(env.now)
+            if left:
+                env.call_in(1.0, tick, left - 1)
 
-        env.process(proc())
+        env.call_in(1.0, tick, 9)
         env.run(until=3.5)
         assert log == [1.0, 2.0, 3.0]
         assert env.now == 3.5
+        assert env.queue_size == 1
+        env.run(until=4.0)  # an event exactly at the horizon runs
+        assert log[-1] == 4.0 and env.now == 4.0
+
+    def test_run_until_keeps_clock_when_queue_drains(self):
+        """The clock jumps to ``until`` only when events remain past it."""
+        env = Environment()
+        env.call_at(2.0, lambda _v: None)
+        env.run(until=10.0)
+        assert env.now == 2.0
+        assert env.queue_size == 0
 
     def test_timeout_value_passthrough(self):
         env = Environment()
         got = []
-
-        def proc():
-            v = yield env.timeout(1.0, value="payload")
-            got.append(v)
-
-        env.process(proc())
+        env.call_in(1.0, got.append, "payload")
         env.run()
         assert got == ["payload"]
 
 
 class TestEventOrdering:
     def test_fifo_at_equal_times(self):
-        """Events scheduled at the same instant fire in creation order."""
+        """Events scheduled at the same instant fire in scheduling order."""
         env = Environment()
         order = []
-
-        def proc(tag):
-            yield env.timeout(1.0)
-            order.append(tag)
-
         for tag in "abc":
-            env.process(proc(tag))
+            env.call_at(1.0, order.append, tag)
         env.run()
         assert order == ["a", "b", "c"]
 
@@ -74,20 +74,20 @@ class TestEventOrdering:
         env = Environment()
         order = []
 
-        def fast():
-            for _ in range(3):
-                yield env.timeout(1.0)
-                order.append(("fast", env.now))
+        def fast(left):
+            order.append(("fast", env.now))
+            if left:
+                env.call_in(1.0, fast, left - 1)
 
-        def slow():
-            for _ in range(2):
-                yield env.timeout(1.5)
-                order.append(("slow", env.now))
+        def slow(left):
+            order.append(("slow", env.now))
+            if left:
+                env.call_in(1.5, slow, left - 1)
 
-        env.process(fast())
-        env.process(slow())
+        env.call_in(1.0, fast, 2)
+        env.call_in(1.5, slow, 1)
         env.run()
-        # at t=3.0 both fire; slow scheduled its timeout earlier (at 1.5)
+        # at t=3.0 both fire; slow scheduled its call earlier (at 1.5)
         # so it pops first (FIFO tie-break by scheduling order)
         assert order == [
             ("fast", 1.0),
@@ -96,69 +96,6 @@ class TestEventOrdering:
             ("slow", 3.0),
             ("fast", 3.0),
         ]
-
-
-class TestEvents:
-    def test_manual_event_wakes_process(self):
-        env = Environment()
-        gate = env.event()
-        log = []
-
-        def waiter():
-            v = yield gate
-            log.append((env.now, v))
-
-        def opener():
-            yield env.timeout(4.0)
-            gate.succeed("open")
-
-        env.process(waiter())
-        env.process(opener())
-        env.run()
-        assert log == [(4.0, "open")]
-
-    def test_double_trigger_rejected(self):
-        env = Environment()
-        ev = env.event()
-        ev.succeed()
-        with pytest.raises(RuntimeError):
-            ev.succeed()
-
-    def test_callback_after_trigger_fires_immediately(self):
-        env = Environment()
-        ev = env.event()
-        ev.succeed(7)
-        got = []
-        ev.add_callback(lambda e: got.append(e.value))
-        env.run()
-        assert got == [7]
-
-    def test_process_is_awaitable_event(self):
-        """A process can wait for another process to finish."""
-        env = Environment()
-        log = []
-
-        def child():
-            yield env.timeout(2.0)
-            return "done"
-
-        def parent():
-            result = yield env.process(child())
-            log.append((env.now, result))
-
-        env.process(parent())
-        env.run()
-        assert log == [(2.0, "done")]
-
-    def test_non_event_yield_raises(self):
-        env = Environment()
-
-        def bad():
-            yield 42
-
-        env.process(bad())
-        with pytest.raises(TypeError, match="yield Event"):
-            env.run()
 
 
 class TestCallAt:
@@ -193,160 +130,41 @@ class TestCallAt:
         with pytest.raises(ValueError):
             env.call_in(-1.0, lambda _v: None)
 
-    def test_orders_against_events_by_scheduling(self):
-        """Callbacks and process timeouts share one (time, seq) order.
-        A process's first timeout is scheduled at its zero-delay boot,
-        so a callback registered at setup time wins the t=1 tie; the
-        processes then fire in creation order."""
-        env = Environment()
-        order = []
 
-        def proc(tag):
-            yield env.timeout(1.0)
-            order.append(tag)
-
-        env.process(proc("proc-first"))
-        env.call_at(1.0, lambda _v: order.append("cb"))
-        env.process(proc("proc-second"))
-        env.run()
-        assert order == ["cb", "proc-first", "proc-second"]
-
-
-def _drive(scheduler: str, n_events: int = 6000, seed: int = 42):
+def _drive(until: float | None = None, n_events: int = 6000, seed: int = 42):
     """A stochastic self-rescheduling workload, including zero-delay
-    rescheduling storms (ties) and an until-bounded first phase."""
-    env = Environment(scheduler=scheduler)
+    rescheduling storms (ties) and, with ``until``, a bounded first
+    phase.  Logs ``(time, seq, tag)`` with ``seq`` counted in scheduling
+    order."""
+    env = Environment()
     log = []
     rnd = random.Random(seed)
+    seqs = itertools.count()
 
-    def tick(tag):
-        log.append((env.now, tag))
+    def tick(item):
+        tag, seq = item
+        log.append((env.now, seq, tag))
         if len(log) < n_events:
             delay = rnd.random() * (1.0 if tag % 3 else 0.0)
-            env.call_in(delay, tick, tag)
+            env.call_in(delay, tick, (tag, next(seqs)))
 
     for t in range(250):
-        env.call_at(1.0, tick, t)  # massive tie at t = 1
-    env.run(until=300.0)
+        env.call_at(1.0, tick, (t, next(seqs)))  # massive tie at t = 1
+    if until is not None:
+        env.run(until=until)
+        assert env.now == until and env.queue_size  # paused mid-run
     env.run()
     return log, env.processed, env.now
 
 
-class TestSchedulerIdentity:
-    """The calendar queue pops in exactly the heap's (time, seq) order."""
+class TestEventStorm:
+    def test_pops_in_time_then_scheduling_order(self):
+        log, processed, _now = _drive()
+        assert processed == len(log) == 6000 + 249
+        keys = [(t, seq) for t, seq, _tag in log]
+        assert keys == sorted(keys)
 
-    def test_identical_event_traces(self):
-        heap = _drive("heap")
-        calendar = _drive("calendar")
-        assert heap == calendar
-
-    def test_auto_promotes_and_stays_identical(self, monkeypatch):
-        import repro.sim.events as events_mod
-
-        monkeypatch.setattr(events_mod, "CALENDAR_THRESHOLD", 1024)
-        auto = _drive("auto", n_events=4096)
-        heap = _drive("heap", n_events=4096)
-        assert auto == heap
-
-    def test_auto_promotion_trips_at_threshold(self, monkeypatch):
-        import repro.sim.events as events_mod
-
-        monkeypatch.setattr(events_mod, "CALENDAR_THRESHOLD", 500)
-        env = Environment()
-        assert env.scheduler_in_use == "heap"
-        for i in range(501):
-            env.call_at(1.0 + i * 0.25, lambda _v: None)
-        assert env.scheduler_in_use == "calendar"
-        assert env.queue_size == 501
-        env.run()
-        assert env.processed == 501
-
-    def test_explicit_schedulers_respected(self):
-        assert Environment(scheduler="heap").scheduler_in_use == "heap"
-        assert Environment(scheduler="calendar").scheduler_in_use == "calendar"
-        with pytest.raises(ValueError):
-            Environment(scheduler="fifo")
-
-
-class TestCalendarQueue:
-    def test_pop_order_matches_heap_on_random_entries(self):
-        rnd = random.Random(7)
-        entries = [
-            (rnd.choice([rnd.uniform(0, 100), float(rnd.randint(0, 20))]), seq)
-            for seq in range(5000)
-        ]
-        cq = CalendarQueue(entries)
-        hq = HeapQueue(entries)
-        out_c = [cq.pop() for _ in range(len(entries))]
-        out_h = [hq.pop() for _ in range(len(entries))]
-        assert out_c == out_h == sorted(entries)
-
-    def test_interleaved_push_pop(self):
-        rnd = random.Random(3)
-        cq, hq = CalendarQueue(), HeapQueue()
-        seq = 0
-        now = 0.0
-        for _ in range(4000):
-            if cq and rnd.random() < 0.5:
-                a, b = cq.pop(), hq.pop()
-                assert a == b
-                now = a[0]
-            else:
-                e = (now + rnd.uniform(0, 10), seq)
-                seq += 1
-                cq.push(e)
-                hq.push(e)
-        assert sorted(cq.entries()) == sorted(hq.entries())
-
-    def test_infinite_times_wait_in_overflow(self):
-        cq = CalendarQueue()
-        cq.push((float("inf"), 0))
-        cq.push((2.0, 1))
-        assert cq.pop() == (2.0, 1)
-        assert cq.peek() == (float("inf"), 0)
-        assert len(cq) == 1
-
-    def test_sparse_far_future_jump(self):
-        """Events far beyond the current lap are found via the direct
-        search, not an endless scan."""
-        cq = CalendarQueue([(0.5, 0)])
-        assert cq.pop() == (0.5, 0)
-        cq.push((1e9, 1))
-        assert cq.pop() == (1e9, 1)
-
-
-class TestDrainCallbacks:
-    def test_callbacks_appended_during_drain_run_same_pass(self):
-        env = Environment()
-        log = []
-        ev = env.event()
-
-        def chain(e, depth=0):
-            log.append(depth)
-            if depth < 5:
-                nxt = env.event()
-                nxt.add_callback(lambda e2, d=depth + 1: chain(e2, d))
-                nxt.succeed()
-
-        ev.add_callback(chain)
-        ev.succeed()
-        env.run()
-        assert log == [0, 1, 2, 3, 4, 5]
-
-    def test_drain_is_linear_not_quadratic(self):
-        """Regression: the pop(0)-per-callback drain was O(n²) — 40k
-        simultaneously-triggered callbacks took tens of seconds."""
-        env = Environment()
-        hits = []
-        events = [env.event() for _ in range(40_000)]
-        for ev in events:
-            ev.add_callback(lambda e: hits.append(1))
-        t0 = time.perf_counter()
-        for ev in events:
-            ev.succeed()
-        env.run()
-        elapsed = time.perf_counter() - t0
-        assert len(hits) == 40_000
-        # Linear drain finishes in well under a second even on slow CI;
-        # the quadratic one needs > 30 s for this size.
-        assert elapsed < 5.0
+    def test_split_run_equals_one_run(self):
+        # The zero-delay chains keep the first 6000 events at t = 1, so
+        # the pause has to fall inside (1, 2) to cut the run.
+        assert _drive(until=1.5) == _drive()

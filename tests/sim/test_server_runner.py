@@ -27,11 +27,9 @@ class TestSimServer:
         env = Environment()
         srv = SimServer(env, 0, speed=1.0)
 
-        def late_feeder():
-            yield env.timeout(10.0)
-            srv.submit(Request(owner=0, server=0, t_submit=env.now))
-
-        env.process(late_feeder())
+        env.call_at(
+            10.0, lambda _v: srv.submit(Request(owner=0, server=0, t_submit=env.now))
+        )
         env.run()
         assert srv.completed[0].t_complete == pytest.approx(11.0)
 
