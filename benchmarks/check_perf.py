@@ -8,10 +8,13 @@ fresh file and the committed (``git show HEAD:benchmarks/...``) baseline is
 compared; the script fails (exit 1) if any metric regresses by more than
 ``--threshold`` (default 30 %).
 
-Machines differ: both BENCH files carry a ``calibration_ops_per_sec``
-constant (a plain-python loop measured in the same run), and each baseline
-figure is scaled by ``fresh_calibration / baseline_calibration`` before
-comparison, so a slower CI runner is not mistaken for a code regression.
+Machines differ: the BENCH files carry ``calibration_ops_per_sec``
+readings (a plain-python loop timed in the same run), and each baseline
+figure is scaled by the median of every fresh reading over the median of
+every committed one before comparison, so a slower CI runner is not
+mistaken for a code regression.  One reading alone is too noisy to scale
+by; the script prints the readings on both sides so the spread that
+remains is visible.
 
 Usage::
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import subprocess
 import sys
 
@@ -67,18 +71,26 @@ def walk_metrics(node, prefix=""):
                 yield from walk_metrics(v, path)
 
 
-def find_calibration(tree: dict) -> float | None:
-    """First calibration_ops_per_sec found anywhere in the tree."""
-    if isinstance(tree, dict):
-        for k, v in tree.items():
+def find_calibrations(node) -> list[float]:
+    """Every calibration_ops_per_sec reading anywhere in a BENCH tree."""
+    found = []
+    if isinstance(node, dict):
+        for k, v in node.items():
             if k == "calibration_ops_per_sec" and isinstance(v, (int, float)):
-                return float(v)
-        for v in tree.values():
-            if isinstance(v, dict):
-                got = find_calibration(v)
-                if got is not None:
-                    return got
-    return None
+                found.append(float(v))
+            else:
+                found.extend(find_calibrations(v))
+    return found
+
+
+def describe(readings: list[float]) -> str:
+    if not readings:
+        return "none"
+    return (
+        f"{len(readings)} readings {min(readings) / 1e6:.1f}–"
+        f"{max(readings) / 1e6:.1f} M ops/s, median "
+        f"{statistics.median(readings) / 1e6:.1f} M"
+    )
 
 
 def main(argv=None) -> int:
@@ -89,27 +101,33 @@ def main(argv=None) -> int:
                         help="git ref holding the committed baseline")
     args = parser.parse_args(argv)
 
-    # Calibration: prefer the fresh engine-bench constant; fall back to 1:1.
-    events_path = FRESH_DIR / "BENCH_events.json"
-    fresh_events = (
-        json.loads(events_path.read_text()) if events_path.exists() else {}
+    fresh_trees = {
+        name: json.loads((FRESH_DIR / name).read_text())
+        for name in FILES
+        if (FRESH_DIR / name).exists()
+    }
+    base_trees = {name: committed(name, args.ref) for name in FILES}
+    # Calibration: median of every reading on each side; fall back to 1:1.
+    fresh_cals = find_calibrations(fresh_trees)
+    base_cals = find_calibrations(base_trees)
+    scale = (
+        statistics.median(fresh_cals) / statistics.median(base_cals)
+        if fresh_cals and base_cals
+        else 1.0
     )
-    base_events = committed("BENCH_events.json", args.ref)
-    fresh_cal = find_calibration(fresh_events)
-    base_cal = find_calibration(base_events or {})
-    scale = (fresh_cal / base_cal) if fresh_cal and base_cal else 1.0
+    print(f"calibration, fresh: {describe(fresh_cals)}")
+    print(f"calibration, baseline: {describe(base_cals)}")
     print(f"machine-speed scale (fresh/baseline): {scale:.3f}")
 
     failures = []
     compared = 0
     for name in FILES:
-        fresh_path = FRESH_DIR / name
-        if not fresh_path.exists():
+        if name not in fresh_trees:
             print(f"  {name}: no fresh file (did the bench suite run?)")
             failures.append((name, "missing fresh file"))
             continue
-        fresh = dict(walk_metrics(json.loads(fresh_path.read_text())))
-        base_tree = committed(name, args.ref)
+        fresh = dict(walk_metrics(fresh_trees[name]))
+        base_tree = base_trees[name]
         if base_tree is None:
             print(f"  {name}: no committed baseline at {args.ref}; skipping")
             continue

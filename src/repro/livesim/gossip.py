@@ -56,15 +56,12 @@ Throughput choices that matter on the hot path:
 * **Batched payloads.**  A (src, dst) exchange round ships the whole
   per-server state (or its delta) as *one* payload and merges it with
   one version-masked pass — never one message-event per table entry.
-* **Size-adaptive representation.**  At fleet scale the table is one
-  packed ``(m, 3, m)`` ndarray: a payload is a single contiguous
-  ``(3, m)`` copy (or a fancy-indexed ``(3, k)`` delta) and a merge a
-  few vectorized calls.  On small fleets (``m <= _LIST_MODE_MAX``) the
-  same protocol runs on plain Python lists instead — at m ≈ 16 a list
-  copy-and-merge is ~5x cheaper than the numpy one, whose fixed per-call
-  dispatch dominates rows that small.  The mode is an internal
-  representation choice; the message sequence, RNG streams and merge
-  results are identical.
+* **One packed table.**  Every fleet size keeps its tables in one
+  ``(m, 3, m)`` ndarray: a payload is a single contiguous ``(3, m)``
+  copy (or a fancy-indexed ``(3, k)`` delta) and a merge a few
+  vectorized calls.  Plain Python lists merge about twice as fast at
+  m ≈ 16, but end to end (the m = 24 benchmark workload) the saving is
+  within noise, so one representation serves every fleet size.
 * **Callback cycles.**  Each server's publish/push loop is a self-
   re-arming ``call_at`` callback, with its jitter and peer draws taken
   from block-buffered (bit-identical) streams.
@@ -111,7 +108,8 @@ accept rule with ideas from fault-tolerant approximate consensus
   accumulating.  Exported as ``byz.suspicion`` gauges (read through
   :meth:`AsyncGossip.suspicion_view`).
 
-Robust mode is a small-fleet (Python-loop) code path aimed at the
+Robust mode walks each payload entry by entry in Python (over a
+``.tolist()`` copy of it), so it is aimed at the small fleets of the
 ``byzantine-*`` scenario family; with ``merge_mode="legacy"`` (the
 default) none of its state exists and traces are bit-identical to
 earlier releases — asserted on every preset in both wire formats.
@@ -130,11 +128,6 @@ from ._util import BufferedIntegers, BufferedUniform
 from .net import ControlNetwork
 
 __all__ = ["AsyncGossip", "GossipStats", "GOSSIP_MODES", "MERGE_MODES"]
-
-#: Largest fleet kept on the Python-list table representation; beyond it
-#: the vectorized packed-ndarray path wins (the crossover is flat
-#: between ~48 and ~96 servers).
-_LIST_MODE_MAX = 64
 
 GOSSIP_MODES = ("full", "delta")
 
@@ -174,10 +167,11 @@ class AsyncGossip:
     ``versions[i, k]`` the per-origin version of that view and
     ``stamps[i, k]`` the sim-time at which origin ``k`` published it —
     so ``env.now − stamps[i]`` is the *information age* of ``i``'s view.
-    The three are exposed as (m, m) arrays regardless of the internal
-    representation (see module doc); mutate state only through
-    :meth:`publish` and the message handlers.  ``mode`` selects the wire
-    format (``"full"`` tables or ``"delta"`` version-vector diffs).
+    The three are (m, m) views of the packed ``(m, 3, m)`` table, so they
+    follow every later merge (copy one to keep a snapshot); mutate state
+    only through :meth:`publish` and the message handlers.  ``mode``
+    selects the wire format (``"full"`` tables or ``"delta"``
+    version-vector diffs).
     """
 
     def __init__(
@@ -267,7 +261,6 @@ class AsyncGossip:
         self._own_version = [0] * m
         #: Times each server's view *content* changed (see module doc).
         self.update_counts = [0] * m
-        self._list_mode = m <= _LIST_MODE_MAX
         delta = mode == "delta"
         if delta:
             # Per-server integer modification clock (`_mclock[i]` ticks
@@ -285,41 +278,27 @@ class AsyncGossip:
         # Bootstrap: the starting allocation (everyone runs locally) is
         # common knowledge, so every table starts from the true initial
         # loads at version 0 / age 0 rather than from blank entries.
-        loads = [float(x) for x in state.loads]
-        if self._list_mode:
-            self._vals = [list(loads) for _ in range(m)]
-            self._vers: list[list] = [[0] * m for _ in range(m)]
-            self._stmp = [[0.0] * m for _ in range(m)]
-            if delta:
-                self.publish = self._publish_list_delta
-                self._packet_body = self._packet_body_list_delta
-                self._merge = self._merge_list_delta
-            else:
-                self.publish = self._publish_list
-                self._packet_body = self._packet_body_list
-                self._merge = self._merge_list
+        # Packed row layout: [0] values, [1] versions (float64 —
+        # integer-exact far beyond any reachable count), [2] stamps.
+        self._table = np.zeros((m, 3, m), dtype=np.float64)
+        self._table[:, 0, :] = state.loads
+        # Cached row views: creating an ndarray view per merge or
+        # publish costs more than the arithmetic on it.
+        self._rows = [self._table[i] for i in range(m)]
+        self._vals = [self._table[i, 0] for i in range(m)]
+        self._vers = [self._table[i, 1] for i in range(m)]
+        self._stmp = [self._table[i, 2] for i in range(m)]
+        # Scratch buffers for the merge (transient, shared).
+        self._newer_buf = np.empty(m, dtype=bool)
+        self._diff_buf = np.empty(m, dtype=bool)
+        if delta:
+            self.publish = self._publish_delta
+            self._packet_body = self._packet_body_delta
+            self._merge = self._merge_delta
         else:
-            # Packed row layout: [0] values, [1] versions (float64 —
-            # integer-exact far beyond any reachable count), [2] stamps.
-            self._table = np.zeros((m, 3, m), dtype=np.float64)
-            self._table[:, 0, :] = loads
-            # Cached row views: creating an ndarray view per merge or
-            # publish costs more than the arithmetic on it.
-            self._rows = [self._table[i] for i in range(m)]
-            self._nvals = [self._table[i, 0] for i in range(m)]
-            self._nvers = [self._table[i, 1] for i in range(m)]
-            self._nstmp = [self._table[i, 2] for i in range(m)]
-            # Scratch buffers for the merge (transient, shared).
-            self._newer_buf = np.empty(m, dtype=bool)
-            self._diff_buf = np.empty(m, dtype=bool)
-            if delta:
-                self.publish = self._publish_np_delta
-                self._packet_body = self._packet_body_np_delta
-                self._merge = self._merge_np_delta
-            else:
-                self.publish = self._publish_np
-                self._packet_body = self._packet_body_np
-                self._merge = self._merge_np
+            self.publish = self._publish_full
+            self._packet_body = self._packet_body_full
+            self._merge = self._merge_full
         self._push_handler = self._on_push_delta if delta else self._on_push
         self._delta = delta
         if merge_mode == "robust":
@@ -356,7 +335,7 @@ class AsyncGossip:
             self._obs_horizon = float(observe_margin) * self.interval
             # Absolute floor of the relative agreement band, so claims
             # about a near-zero load still have a workable tolerance.
-            self._tol_floor = 0.05 * float(np.mean(loads)) + 1e-12
+            self._tol_floor = 0.05 * float(np.mean(state.loads)) + 1e-12
         else:
             self.suspicion = None
 
@@ -380,45 +359,34 @@ class AsyncGossip:
             self._arm(i)
 
     # ------------------------------------------------------------------
-    # Table views (representation-independent accessors)
+    # Table views
     # ------------------------------------------------------------------
     @property
     def values(self) -> np.ndarray:
-        """(m, m) matrix of viewed loads (row = viewing server)."""
-        if self._list_mode:
-            return np.asarray(self._vals, dtype=np.float64)
+        """(m, m) view of viewed loads (row = viewing server)."""
         return self._table[:, 0, :]
 
     @property
     def versions(self) -> np.ndarray:
-        """(m, m) matrix of per-origin entry versions."""
-        if self._list_mode:
-            return np.asarray(self._vers, dtype=np.float64)
+        """(m, m) view of per-origin entry versions."""
         return self._table[:, 1, :]
 
     @property
     def stamps(self) -> np.ndarray:
-        """(m, m) matrix of per-origin publish sim-times."""
-        if self._list_mode:
-            return np.asarray(self._stmp, dtype=np.float64)
+        """(m, m) view of per-origin publish sim-times."""
         return self._table[:, 2, :]
 
     def view(self, i: int) -> np.ndarray:
         """Server ``i``'s current (stale) view of all loads; its own
         entry is always live."""
-        if self._list_mode:
-            out = np.array(self._vals[i])
-        else:
-            out = self._nvals[i].copy()
+        out = self._vals[i].copy()
         out[i] = self.state.loads[i]
         return out
 
     def ages(self, i: int) -> np.ndarray:
         """Information age of server ``i``'s view entries, in sim-time
         units since the entry was published at its origin."""
-        if self._list_mode:
-            return self.env.now - np.asarray(self._stmp[i])
-        return self.env.now - self._nstmp[i]
+        return self.env.now - self._stmp[i]
 
     def mean_view_age(self) -> float:
         """Mean finite off-diagonal view age across all live servers."""
@@ -459,185 +427,86 @@ class AsyncGossip:
             self._adapt_last = list(self.update_counts)
 
     # ------------------------------------------------------------------
-    # Publish / packet / merge — Python-list representation (small m)
+    # Publish / packet / merge — full wire format
     # ------------------------------------------------------------------
-    def _publish_list(self, i: int) -> None:
+    def _publish_full(self, i: int) -> None:
         """Server ``i`` (re)publishes its authoritative entry: its true
         current load, freshly versioned and stamped with the sim-time."""
         self._own_version[i] += 1
-        load = float(self.state.loads[i])
-        vals = self._vals[i]
-        if vals[i] != load:
-            vals[i] = load
-            self.update_counts[i] += 1
-        self._vers[i][i] = self._own_version[i]
-        self._stmp[i][i] = self.env.now
-        self.stats.publishes += 1
-
-    def _packet_body_list(self, src: int, dst: int) -> tuple:
-        # The whole (values, versions, stamps) state batched into one
-        # payload for the (src, dst) round.
-        self.stats.payload_entries += self._m
-        self.stats.payload_bytes += _HEADER_BYTES + _ENTRY_BYTES_FULL * self._m
-        return (self._vals[src][:], self._vers[src][:], self._stmp[src][:])
-
-    def _merge_list(self, src: int, dst: int, rows: tuple) -> None:
-        qv, qr, qs = rows
-        mv = self._vals[dst]
-        mr = self._vers[dst]
-        ms = self._stmp[dst]
-        merged = False
-        changed = False
-        k = 0
-        for v in qr:
-            if v > mr[k]:
-                merged = True
-                mr[k] = v
-                ms[k] = qs[k]
-                if mv[k] != qv[k]:
-                    mv[k] = qv[k]
-                    changed = True
-            k += 1
-        if merged:
-            self.stats.merges += 1
-            if changed:
-                self.update_counts[dst] += 1
-
-    # ------------------------------------------------------------------
-    # Publish / packet / merge — delta wire format, list representation
-    # ------------------------------------------------------------------
-    def _publish_list_delta(self, i: int) -> None:
-        # Versions advance only when the value does: an unchanged load
-        # re-published is a no-op, which is what keeps converged payloads
-        # empty.  (Value changes are what downstream consumers react to;
-        # see the module doc for why this preserves bit-identity.)
-        load = float(self.state.loads[i])
-        vals = self._vals[i]
-        if vals[i] == load:
-            return
-        vals[i] = load
-        self.update_counts[i] += 1
-        self._own_version[i] += 1
-        self._vers[i][i] = self._own_version[i]
-        self._stmp[i][i] = self.env.now
-        self._mclock[i] += 1
-        self._mtime[i, i] = self._mclock[i]
-        self.stats.publishes += 1
-
-    def _packet_body_list_delta(self, src: int, dst: int) -> tuple:
-        idx = np.flatnonzero(self._mtime[src] > self._ack_floor[src, dst])
-        ks = idx.tolist()
-        vals, vers, stmp = self._vals[src], self._vers[src], self._stmp[src]
-        self.stats.payload_entries += len(ks)
-        self.stats.payload_bytes += _HEADER_BYTES + _ENTRY_BYTES_DELTA * len(ks)
-        return (
-            self._mclock[src],
-            ks,
-            [vals[k] for k in ks],
-            [vers[k] for k in ks],
-            [stmp[k] for k in ks],
-        )
-
-    def _merge_list_delta(self, src: int, dst: int, body: tuple) -> None:
-        _snap, ks, qv, qr, qs = body
-        if not ks:
-            return
-        mv = self._vals[dst]
-        mr = self._vers[dst]
-        ms = self._stmp[dst]
-        merged = False
-        changed = False
-        seq = self._mclock[dst] + 1
-        mtime = self._mtime
-        for pos, k in enumerate(ks):
-            v = qr[pos]
-            if v > mr[k]:
-                merged = True
-                mr[k] = v
-                ms[k] = qs[pos]
-                mtime[dst, k] = seq
-                if mv[k] != qv[pos]:
-                    mv[k] = qv[pos]
-                    changed = True
-        if merged:
-            self._mclock[dst] = seq
-            self.stats.merges += 1
-            if changed:
-                self.update_counts[dst] += 1
-
-    # ------------------------------------------------------------------
-    # Publish / packet / merge — packed-ndarray representation (large m)
-    # ------------------------------------------------------------------
-    def _publish_np(self, i: int) -> None:
-        self._own_version[i] += 1
         load = self.state.loads[i]
-        vals = self._nvals[i]
+        vals = self._vals[i]
         if vals[i] != load:
             vals[i] = load
             self.update_counts[i] += 1
-        self._nvers[i][i] = self._own_version[i]
-        self._nstmp[i][i] = self.env.now
+        self._vers[i][i] = self._own_version[i]
+        self._stmp[i][i] = self.env.now
         self.stats.publishes += 1
 
-    def _packet_body_np(self, src: int, dst: int) -> np.ndarray:
-        # One contiguous (3, m) copy per (src, dst) round.
+    def _packet_body_full(self, src: int, dst: int) -> np.ndarray:
+        # The whole (values, versions, stamps) state batched into one
+        # contiguous (3, m) copy for the (src, dst) round.
         self.stats.payload_entries += self._m
         self.stats.payload_bytes += _HEADER_BYTES + _ENTRY_BYTES_FULL * self._m
         return self._rows[src].copy()
 
-    def _merge_np(self, src: int, dst: int, table: np.ndarray) -> None:
+    def _merge_full(self, src: int, dst: int, table: np.ndarray) -> None:
+        # count_nonzero tests a mask faster than ndarray.any() does.
         newer = self._newer_buf
-        np.greater(table[1], self._nvers[dst], out=newer)
-        if newer.any():
+        np.greater(table[1], self._vers[dst], out=newer)
+        if np.count_nonzero(newer):
             # Did any refreshed entry change its *value*?  (Version-only
             # refreshes must not invalidate the agents' proposal memos.)
             diff = self._diff_buf
-            np.not_equal(table[0], self._nvals[dst], out=diff)
+            np.not_equal(table[0], self._vals[dst], out=diff)
             diff &= newer
-            if diff.any():
+            if np.count_nonzero(diff):
                 self.update_counts[dst] += 1
             np.copyto(self._rows[dst], table, where=newer)
             self.stats.merges += 1
 
     # ------------------------------------------------------------------
-    # Publish / packet / merge — delta wire format, packed representation
+    # Publish / packet / merge — delta wire format
     # ------------------------------------------------------------------
-    def _publish_np_delta(self, i: int) -> None:
+    def _publish_delta(self, i: int) -> None:
+        # Versions advance only when the value does: an unchanged load
+        # re-published is a no-op, which is what keeps converged payloads
+        # empty.  (Value changes are what downstream consumers react to;
+        # see the module doc for why this preserves bit-identity.)
         load = self.state.loads[i]
-        vals = self._nvals[i]
+        vals = self._vals[i]
         if vals[i] == load:
             return
         vals[i] = load
         self.update_counts[i] += 1
         self._own_version[i] += 1
-        self._nvers[i][i] = self._own_version[i]
-        self._nstmp[i][i] = self.env.now
+        self._vers[i][i] = self._own_version[i]
+        self._stmp[i][i] = self.env.now
         self._mclock[i] += 1
         self._mtime[i, i] = self._mclock[i]
         self.stats.publishes += 1
 
-    def _packet_body_np_delta(self, src: int, dst: int) -> tuple:
+    def _packet_body_delta(self, src: int, dst: int) -> tuple:
         idx = np.flatnonzero(self._mtime[src] > self._ack_floor[src, dst])
         sub = self._rows[src][:, idx]  # advanced indexing: already a copy
         self.stats.payload_entries += idx.size
         self.stats.payload_bytes += _HEADER_BYTES + _ENTRY_BYTES_DELTA * idx.size
         return (self._mclock[src], idx, sub)
 
-    def _merge_np_delta(self, src: int, dst: int, body: tuple) -> None:
+    def _merge_delta(self, src: int, dst: int, body: tuple) -> None:
         _snap, idx, sub = body
         if idx.size == 0:
             return
-        vers = self._nvers[dst]
+        vers = self._vers[dst]
         newer = sub[1] > vers[idx]
-        if newer.any():
+        if np.count_nonzero(newer):
             sel = idx[newer]
             picked = sub[:, newer]
-            vals = self._nvals[dst]
-            if np.any(picked[0] != vals[sel]):
+            vals = self._vals[dst]
+            if np.count_nonzero(picked[0] != vals[sel]):
                 self.update_counts[dst] += 1
             vals[sel] = picked[0]
             vers[sel] = picked[1]
-            self._nstmp[dst][sel] = picked[2]
+            self._stmp[dst][sel] = picked[2]
             self._mclock[dst] += 1
             self._mtime[dst, sel] = self._mclock[dst]
             self.stats.merges += 1
@@ -645,24 +514,13 @@ class AsyncGossip:
     # ------------------------------------------------------------------
     # Robust merge (merge_mode="robust") — see module doc
     # ------------------------------------------------------------------
-    def _entry_version(self, i: int, k: int) -> float:
-        if self._list_mode:
-            return float(self._vers[i][k])
-        return float(self._nvers[i][k])
-
     def _entry_store(self, i: int, k: int, val, ver, stamp) -> bool:
         """Write one table entry; returns True if the value changed."""
-        if self._list_mode:
-            row = self._vals[i]
-            changed = row[k] != val
-            row[k] = val
-            self._vers[i][k] = ver
-            self._stmp[i][k] = stamp
-        else:
-            changed = bool(self._nvals[i][k] != val)
-            self._nvals[i][k] = val
-            self._nvers[i][k] = ver
-            self._nstmp[i][k] = stamp
+        row = self._vals[i]
+        changed = bool(row[k] != val)
+        row[k] = val
+        self._vers[i][k] = ver
+        self._stmp[i][k] = stamp
         return changed
 
     def _touch_delta(self, i: int, ks) -> None:
@@ -710,40 +568,38 @@ class AsyncGossip:
         )
 
     def _merge_robust_full(self, src: int, dst: int, body) -> None:
-        if self._list_mode:
-            qv, qr, qs = body
-        else:
-            qv, qr, qs = body[0], body[1], body[2]
+        qv, qr, qs = body.tolist()
         self._robust_entries(src, dst, range(self._m), qv, qr, qs)
 
     def _merge_robust_delta(self, src: int, dst: int, body) -> None:
-        if self._list_mode:
-            _snap, ks, qv, qr, qs = body
-        else:
-            _snap, idx, sub = body
-            ks, qv, qr, qs = idx.tolist(), sub[0], sub[1], sub[2]
-        if len(ks) == 0:
+        _snap, idx, sub = body
+        if idx.size == 0:
             return
-        self._robust_entries(src, dst, ks, qv, qr, qs)
+        qv, qr, qs = sub.tolist()
+        self._robust_entries(src, dst, idx.tolist(), qv, qr, qs)
 
     def _robust_entries(self, src: int, dst: int, ks, qv, qr, qs) -> None:
-        """The robust accept rule over one payload's entries (positional
-        sequences aligned with origin indices ``ks``)."""
+        """The robust accept rule over one payload's entries: ``qv``,
+        ``qr`` and ``qs`` are Python lists aligned with the origin
+        indices ``ks``."""
         st = self.stats
         claims_dst = self._claims[dst]
         quorum = self.robust_quorum
         trim = self.robust_trim
+        # One snapshot of dst's versions: each origin appears at most once
+        # per payload, so no entry is read again after this merge wrote it.
+        cur_vers = self._vers[dst].tolist()
         accepted: list[int] = []
         changed = False
         for pos, k in enumerate(ks):
-            k = int(k)
             if k == dst:
                 continue
-            ver = float(qr[pos])
-            if ver <= self._entry_version(dst, k):
+            ver = qr[pos]
+            cur_ver = cur_vers[k]
+            if ver <= cur_ver:
                 continue
-            val = float(qv[pos])
-            stamp = float(qs[pos])
+            val = qv[pos]
+            stamp = qs[pos]
             if src == k:
                 # First-hand self-claim: version rule with the placement
                 # floor — dst's own load placed on k bounds k's load below.
@@ -761,7 +617,6 @@ class AsyncGossip:
             st.claims += 1
             buf = claims_dst.setdefault(k, {})
             buf[src] = (ver, val, stamp)
-            cur_ver = self._entry_version(dst, k)
             cand = [
                 (cv, cval, cstamp)
                 for cv, cval, cstamp in buf.values()
@@ -824,15 +679,12 @@ class AsyncGossip:
             return
         truth = float(self.state.loads[k])
         band = self._band(truth)
-        if self._list_mode:
-            seen = float(self._vals[d][k])
-        else:
-            seen = float(self._nvals[d][k])
+        seen = float(self._vals[d][k])
         if abs(seen - truth) > band:
             # The view d acted on contradicts ground truth: the origin
             # owns its self-claims.
             self._blame(k, abs(seen - truth) / band)
-        ver = self._entry_version(d, k) + self.observe_margin
+        ver = float(self._vers[d][k]) + self.observe_margin
         self._observed[d][k] = (self.env.now, truth)
         changed = self._entry_store(d, k, truth, ver, self.env.now)
         if changed:
@@ -852,10 +704,7 @@ class AsyncGossip:
         its true load."""
         value = float(value)
         now = self.env.now
-        if self._list_mode:
-            cur = self._vals[i][i]
-        else:
-            cur = float(self._nvals[i][i])
+        cur = float(self._vals[i][i])
         if self._delta:
             # Delta publishes are no-ops when the value is unchanged.
             if cur == value:
@@ -882,7 +731,7 @@ class AsyncGossip:
         changed = False
         for k, v in zip(ks, vals):
             k = int(k)
-            ver = self._entry_version(i, k) + version_bump
+            ver = float(self._vers[i][k]) + version_bump
             if self._entry_store(i, k, float(v), ver, now):
                 changed = True
             if k == i and ver > self._own_version[i]:

@@ -4,8 +4,8 @@ Delta mode is a wire-format optimization: a payload ships only entries
 the receiver may lack, but every entry *strictly newer* at the receiver
 is always included, so merges produce exactly the tables a full-table
 exchange would.  These tests replay full-vs-delta on every registered
-preset (Python-list representation), on a packed-ndarray fleet, under
-churn, and across mid-run demand shifts, asserting identical event
+preset at m = 12, on a larger m = 72 fleet under churn, and across
+mid-run demand shifts, asserting identical event
 traces, allocations, merged load views and update counts — and that the
 delta wire format ships strictly fewer modelled payload bytes.
 """
@@ -44,8 +44,8 @@ def _assert_identical(sim_f, rep_f, sim_d, rep_d, label=""):
 
 class TestMergeIdentity:
     def test_all_presets_identical_lossy(self):
-        """All 7 scenario presets, list-mode tables, 10% message loss
-        (lost acks force conservative superset payloads)."""
+        """All 7 scenario presets at m = 12, 10% message loss (lost
+        acks force conservative superset payloads)."""
         cfg = get_live_preset("lossy")
         for sc in PRESETS:
             inst = cached_instance(sc, 12, 0)
@@ -56,8 +56,8 @@ class TestMergeIdentity:
             ), f"{sc.name}: delta shipped no fewer bytes"
 
     def test_packed_path_identical_with_churn(self):
-        """m > 64 exercises the packed-ndarray payload/merge kernels;
-        churn adds failures, dead letters and rejoin republishes."""
+        """A larger fleet (m = 72) under churn, which adds failures,
+        dead letters and rejoin republishes."""
         inst = cached_instance(get_scenario("regional-surge"), 72, 0)
         cfg = get_live_preset("churn")
         sim_f, rep_f, sim_d, rep_d = _pair(inst, cfg, seed=3, rounds=60)
