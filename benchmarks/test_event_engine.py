@@ -26,16 +26,17 @@ from .conftest import merge_bench
 LOOP_EVENTS = 100_000
 LOOP_PENDING = (512, 2048, 8192)
 REPEATS = 5
+CALIBRATION_REPEATS = 7
 
 
-def calibrate_ops_per_sec(n: int = 2_000_000, repeats: int = 7) -> float:
+def calibrate_ops_per_sec(n: int = 2_000_000) -> float:
     """Machine-speed constant: plain-python loop iterations per second,
-    the median over ``repeats`` timed loops (one loop alone swings by a
-    third between processes).  Recorded next to every events/s figure so
-    the regression check can compare runs from differently-provisioned
-    machines."""
+    the median over ``CALIBRATION_REPEATS`` timed loops (one loop alone
+    swings by a third between processes).  Recorded next to every
+    events/s figure so the regression check can compare runs from
+    differently-provisioned machines."""
     rates = []
-    for _ in range(repeats):
+    for _ in range(CALIBRATION_REPEATS):
         t0 = time.perf_counter()
         x = 0
         for i in range(n):

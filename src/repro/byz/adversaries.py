@@ -214,7 +214,7 @@ class AdversaryPlane:
         }
 
         # Wrap the gossip publish path.  ``publish`` is an instance
-        # attribute (the representation-selected bound method), so the
+        # attribute (the wire-format-selected bound method), so the
         # wrap covers every later caller while the t = 0 bootstrap
         # (already done) stays honest — initial loads are common
         # knowledge in this protocol.

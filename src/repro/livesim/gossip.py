@@ -569,33 +569,32 @@ class AsyncGossip:
 
     def _merge_robust_full(self, src: int, dst: int, body) -> None:
         qv, qr, qs = body.tolist()
-        self._robust_entries(src, dst, range(self._m), qv, qr, qs)
+        self._robust_entries(src, dst, range(self._m), qv, qr, qs, self._vers[dst].tolist())
 
     def _merge_robust_delta(self, src: int, dst: int, body) -> None:
         _snap, idx, sub = body
         if idx.size == 0:
             return
         qv, qr, qs = sub.tolist()
-        self._robust_entries(src, dst, idx.tolist(), qv, qr, qs)
+        self._robust_entries(src, dst, idx.tolist(), qv, qr, qs, self._vers[dst][idx].tolist())
 
-    def _robust_entries(self, src: int, dst: int, ks, qv, qr, qs) -> None:
+    def _robust_entries(self, src: int, dst: int, ks, qv, qr, qs, cur_vers) -> None:
         """The robust accept rule over one payload's entries: ``qv``,
         ``qr`` and ``qs`` are Python lists aligned with the origin
-        indices ``ks``."""
+        indices ``ks``, and ``cur_vers`` is dst's versions at ``ks``.
+        One snapshot is safe: each origin appears at most once per
+        payload, so no entry is read again after this merge wrote it."""
         st = self.stats
         claims_dst = self._claims[dst]
         quorum = self.robust_quorum
         trim = self.robust_trim
-        # One snapshot of dst's versions: each origin appears at most once
-        # per payload, so no entry is read again after this merge wrote it.
-        cur_vers = self._vers[dst].tolist()
         accepted: list[int] = []
         changed = False
         for pos, k in enumerate(ks):
             if k == dst:
                 continue
             ver = qr[pos]
-            cur_ver = cur_vers[k]
+            cur_ver = cur_vers[pos]
             if ver <= cur_ver:
                 continue
             val = qv[pos]
