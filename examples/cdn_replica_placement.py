@@ -14,7 +14,10 @@ pipeline is the paper's Section VII extension:
    sampling) and discrete chunk-to-server rounding.
 
 Run: python examples/cdn_replica_placement.py
+(set REPRO_EXAMPLE_M to scale the CDN, e.g. the test suite uses 8)
 """
+
+import os
 
 import numpy as np
 
@@ -25,7 +28,7 @@ REPLICAS = 2
 
 def main() -> None:
     rng = np.random.default_rng(7)
-    m = 12  # CDN sites (one per ISP)
+    m = int(os.environ.get("REPRO_EXAMPLE_M", "12"))  # CDN sites (one per ISP)
 
     latency = repro.planetlab_like_latency(m, rng=rng)
     speeds = repro.random_speeds(m, rng=rng)

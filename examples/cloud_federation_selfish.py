@@ -9,16 +9,19 @@ homogeneous network — then repeats on a heterogeneous (PlanetLab-like)
 one, where the paper's experiments (Table III) found the loss even lower.
 
 Run: python examples/cloud_federation_selfish.py
+(set REPRO_EXAMPLE_M to scale both federations, e.g. the test suite uses 8)
 """
+
+import os
 
 import numpy as np
 
 import repro
 
 
-def homogeneous_case() -> None:
+def homogeneous_case(m: int) -> None:
     print("=== homogeneous federation (Theorem 1 territory) ===")
-    m, speed, delay, lav = 12, 1.0, 2.0, 100.0
+    speed, delay, lav = 1.0, 2.0, 100.0
     rng = np.random.default_rng(1)
     loads = rng.uniform(0.0, 2 * lav, m)  # bursty demand
     inst = repro.Instance.homogeneous(m, speed=speed, delay=delay, loads=loads)
@@ -38,10 +41,9 @@ def homogeneous_case() -> None:
     print(f"Nash gap (certificate):       {repro.nash_gap(inst, ne):.2e}\n")
 
 
-def heterogeneous_case() -> None:
+def heterogeneous_case(m: int) -> None:
     print("=== heterogeneous federation (Table III territory) ===")
     rng = np.random.default_rng(2)
-    m = 20
     inst = repro.Instance(
         speeds=repro.random_speeds(m, rng=rng),
         loads=rng.exponential(50.0, m),
@@ -66,8 +68,8 @@ def heterogeneous_case() -> None:
 
 
 def main() -> None:
-    homogeneous_case()
-    heterogeneous_case()
+    homogeneous_case(int(os.environ.get("REPRO_EXAMPLE_M", "12")))
+    heterogeneous_case(int(os.environ.get("REPRO_EXAMPLE_M", "20")))
 
 
 if __name__ == "__main__":

@@ -34,8 +34,8 @@ from repro.workloads import (
 class BatchWindowLoads:
     """Requests arrive in whole batches: ``n_i = batch · Poisson(rate)``.
 
-    Any object with ``sample``/``trace`` is a valid LoadModel — no
-    registration or inheritance required.
+    Any object with ``sample`` is a valid LoadModel — no registration
+    or inheritance required.
     """
 
     batch: float = 25.0
@@ -43,9 +43,6 @@ class BatchWindowLoads:
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         return self.batch * (1.0 + rng.poisson(self.rate, size=m))
-
-    def trace(self, m: int, steps: int, rng: np.random.Generator) -> np.ndarray:
-        return np.stack([self.sample(m, rng) for _ in range(steps)])
 
 
 def write_measured_csv(path: str, m: int) -> None:

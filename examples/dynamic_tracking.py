@@ -3,57 +3,46 @@
 
 "During the experimental evaluation, we show that the distributed
 algorithm is efficient, therefore it can be used in networks with
-dynamically changing loads."  This example makes that concrete: loads
-follow diurnal waves with noise and occasional flash crowds, and instead
-of re-solving from scratch every epoch, the balancer warm-starts from the
-previous fractions and runs just a couple of MinE sweeps.
+dynamically changing loads."  This example makes that concrete with
+:func:`repro.tracking.tracking_sweep`: demand follows a day of diurnal
+waves (``diurnal``) and one flash-crowd incident (``flash-replay``), and
+each epoch is re-tracked to within 2 % of its optimum either by
+warm-starting MinE from the previous epoch's routing fractions
+(``mine-warm``) or by solving from scratch (``mine-cold``).
 
 Run: python examples/dynamic_tracking.py
+(set REPRO_EXAMPLE_M to scale the fleet, e.g. the test suite uses 8)
 """
 
-import numpy as np
+import os
 
-import repro
-from repro.core.dynamic import DynamicBalancer, LoadProcess
+from repro.tracking import tracking_sweep
+
+TRACES = ("diurnal", "flash-replay")
+SOLVERS = ("mine-warm", "mine-cold")
 
 
 def main() -> None:
-    rng = np.random.default_rng(5)
-    m = 16
-    inst = repro.Instance(
-        speeds=repro.random_speeds(m, rng=rng),
-        loads=np.zeros(m),  # template; the process supplies per-epoch loads
-        latency=repro.planetlab_like_latency(m, rng=rng),
+    m = int(os.environ.get("REPRO_EXAMPLE_M", "32"))
+    rows = tracking_sweep(
+        ["paper-planetlab"], traces=TRACES, solvers=SOLVERS, sizes=[m], seeds=[0]
     )
-    process = LoadProcess(
-        base=rng.uniform(50, 250, m),
-        amplitude=0.6,     # ±60% diurnal swing
-        period=24.0,
-        noise_sigma=0.15,
-        spike_rate=0.01,   # occasional flash crowd
-        spike_factor=15.0,
-        rng=1,
-    )
+    print(f"{m} servers on PlanetLab-like RTTs; every epoch re-tracked to "
+          f"the 2 % bound\n")
+    print(f"{'trace':<13}{'solver':<11}{'epochs':>7}{'retracked':>10}"
+          f"{'mean err':>10}{'worst':>8}{'exch/re-track':>15}")
+    for r in rows:
+        print(f"{r['trace']:<13}{r['solver']:<11}{r['epochs']:>7}"
+              f"{r['retracked_epochs']:>10}{r['mean_error']:>10.2%}"
+              f"{r['max_error']:>8.2%}{r['mean_step_exchanges']:>15.1f}")
 
-    balancer = DynamicBalancer(inst, process, sweeps_per_epoch=2, rng_seed=0)
-    print(f"{m} servers; 48 epochs (2 simulated days); "
-          f"2 MinE sweeps per epoch, warm-started\n")
-    print(f"{'epoch':>5} {'total load':>11} {'ΣCi':>12} {'optimum':>12} "
-          f"{'excess':>8} {'sweeps':>7}")
-    records = balancer.run(48)
-    for r in records:
-        if r.epoch % 4 == 0 or r.tracking_error > 0.05:
-            total = r.optimum  # proxy for scale
-            print(f"{r.epoch:>5} {process.base.sum():>11.0f} {r.cost:>12.1f} "
-                  f"{r.optimum:>12.1f} {r.tracking_error:>7.2%} "
-                  f"{r.sweeps_used:>7}")
-
-    print(f"\nmean tracking error over all epochs: "
-          f"{balancer.mean_tracking_error():.2%}")
-    worst = max(r.tracking_error for r in records)
-    print(f"worst epoch (flash crowds included):  {worst:.2%}")
-    print("\nre-solving from scratch would need ~6-10 iterations per epoch;")
-    print("warm-started tracking stays near-optimal with 2.")
+    print()
+    by_cell = {(r["trace"], r["solver"]): r for r in rows}
+    for trace in TRACES:
+        warm = by_cell[trace, "mine-warm"]["mean_step_exchanges"]
+        cold = by_cell[trace, "mine-cold"]["mean_step_exchanges"]
+        print(f"{trace}: the warm start re-tracks a demand shift with "
+              f"{warm:.1f} pairwise exchanges, a cold restart needs {cold:.1f}")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,10 @@ pass periodically rewires relays.  The example traces ΣCi, the gossip
 staleness and the Proposition 1 error certificate per iteration.
 
 Run: python examples/gossip_peak_offload.py
+(set REPRO_EXAMPLE_M to scale the network, e.g. the test suite uses 8)
 """
+
+import os
 
 import numpy as np
 
@@ -18,7 +21,7 @@ import repro
 
 def main() -> None:
     rng = np.random.default_rng(23)
-    m = 60
+    m = int(os.environ.get("REPRO_EXAMPLE_M", "60"))
 
     loads = np.zeros(m)
     loads[int(rng.integers(0, m))] = 100_000.0  # the peak (paper §VI-A)

@@ -13,7 +13,10 @@ a *streaming* (Poisson-arrival) workload on the DES:
 * the paper's delay-aware optimum — stable *and* latency-frugal.
 
 Run: python examples/streaming_datacenter.py
+(set REPRO_EXAMPLE_M to scale the cloud, e.g. the test suite uses 8)
 """
+
+import os
 
 import numpy as np
 
@@ -22,7 +25,7 @@ import repro
 
 def main() -> None:
     rng = np.random.default_rng(11)
-    m = 8
+    m = int(os.environ.get("REPRO_EXAMPLE_M", "8"))
 
     latency_ms = repro.planetlab_like_latency(m, rng=rng)
     # work in seconds for the streaming sim: 50 ms RTT -> 0.05 s

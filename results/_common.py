@@ -17,6 +17,8 @@ try:
 except ImportError:  # checkout without an install: use the src layout
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.engine import BACKENDS  # noqa: E402 - needs the bootstrap above
+
 #: Tables I/II measurement grid (matching EXPERIMENTS.md).
 TABLE_SIZES = (20, 30, 50, 100)
 TABLE_AVGS = (10, 50, 1000)
@@ -33,8 +35,7 @@ def build_parser(description: str) -> argparse.ArgumentParser:
     """The common CLI: execution backend, worker count, output path,
     store/shard selection and the on-disk optimum cache."""
     parser = argparse.ArgumentParser(description=description)
-    parser.add_argument("--backend", default="serial",
-                        choices=("serial", "threads", "process", "chunked"))
+    parser.add_argument("--backend", default="serial", choices=BACKENDS)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--out", default=DEFAULT_OUT)
     parser.add_argument(

@@ -29,9 +29,6 @@ from .distributed import (
     best_partner_exact,
 )
 from .dynamic import (
-    DynamicBalancer,
-    EpochRecord,
-    LoadProcess,
     ReoptimizeResult,
     reoptimize,
     retarget_allocation,
@@ -142,9 +139,6 @@ __all__ = [
     "makespan_greedy",
     "makespan",
     "all_baselines",
-    "LoadProcess",
-    "DynamicBalancer",
-    "EpochRecord",
     "retarget_rows",
     "retarget_allocation",
     "ReoptimizeResult",

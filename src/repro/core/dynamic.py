@@ -1,44 +1,33 @@
-"""Balancing under dynamically changing loads.
+"""Warm-started re-optimization under dynamically changing loads.
 
 The paper's abstract promises that "the distributed algorithm is
 efficient, therefore it can be used in networks with dynamically changing
 loads": because MinE converges in a handful of iterations, it can track a
 drifting workload by running a few sweeps per epoch instead of resolving
-from scratch.  This module provides that operational layer:
+from scratch.  This module holds the two primitives that
+:mod:`repro.tracking` builds that tracking on (its traces, the
+``mine-warm`` stateful solver and :func:`repro.tracking.tracking_sweep`):
 
-* :class:`LoadProcess` — a synthetic workload generator: per-organization
-  diurnal sine waves with random phases, multiplicative noise, and
-  occasional flash-crowd spikes (the "peaks of demand followed by long
-  periods of low activity" of Section I);
-* :class:`DynamicBalancer` — an epoch loop that re-targets the allocation
-  after every load change, warm-starting MinE from the previous epoch's
-  fractions, and records the tracking error against the per-epoch
-  optimum;
-* :func:`retarget_allocation` / :func:`retarget_rows` — the warm-start
-  primitive itself: re-apply an allocation's routing *fractions* to a new
-  demand vector, preserving where each organization sends its work;
+* :func:`retarget_allocation` / :func:`retarget_rows` — the warm start:
+  re-apply an allocation's routing *fractions* to a new demand vector,
+  preserving where each organization sends its work;
 * :func:`reoptimize` — exchange-budget-capped incremental MinE: run
   sweeps on an existing (typically retargeted) allocation until it
   re-tracks to a relative bound against the epoch's optimum, the
-  improvement stalls, or the exchange budget runs out.  This is the
-  re-solve kernel behind the stateful solvers of :mod:`repro.tracking`.
+  improvement stalls, or the exchange budget runs out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distributed import MinEOptimizer
 from .instance import Instance
-from .qp import solve_coordinate_descent
 from .state import AllocationState
 
 __all__ = [
-    "LoadProcess",
-    "EpochRecord",
-    "DynamicBalancer",
     "retarget_rows",
     "retarget_allocation",
     "ReoptimizeResult",
@@ -161,130 +150,3 @@ def reoptimize(
         kernel_calls=optimizer.kernel_stats.kernel_calls,
         kernel_candidates=optimizer.kernel_stats.kernel_candidates,
     )
-
-
-class LoadProcess:
-    """Synthetic time-varying per-organization loads.
-
-    ``loads(t) = base · (1 + amp·sin(2π t/period + φ_i)) · noise + spike``
-    with independent random phases ``φ_i``, log-normal noise and Poisson
-    flash crowds that multiply one organization's load for one epoch.
-    """
-
-    def __init__(
-        self,
-        base: np.ndarray,
-        *,
-        amplitude: float = 0.6,
-        period: float = 24.0,
-        noise_sigma: float = 0.1,
-        spike_rate: float = 0.05,
-        spike_factor: float = 20.0,
-        rng: np.random.Generator | int | None = None,
-    ):
-        self.base = np.asarray(base, dtype=np.float64)
-        if np.any(self.base < 0):
-            raise ValueError("base loads must be non-negative")
-        self.amplitude = amplitude
-        self.period = period
-        self.noise_sigma = noise_sigma
-        self.spike_rate = spike_rate
-        self.spike_factor = spike_factor
-        self.rng = (
-            rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        )
-        self.phases = self.rng.uniform(0, 2 * np.pi, size=self.base.shape[0])
-
-    def sample(self, t: float) -> np.ndarray:
-        """Loads at epoch ``t`` (stochastic: noise and spikes re-drawn)."""
-        m = self.base.shape[0]
-        wave = 1.0 + self.amplitude * np.sin(
-            2 * np.pi * t / self.period + self.phases
-        )
-        noise = self.rng.lognormal(0.0, self.noise_sigma, size=m)
-        loads = self.base * wave * noise
-        if self.rng.uniform() < self.spike_rate * m:
-            victim = int(self.rng.integers(0, m))
-            loads[victim] *= self.spike_factor
-        return np.maximum(loads, 0.0)
-
-
-@dataclass
-class EpochRecord:
-    """Diagnostics for one epoch of dynamic balancing."""
-
-    epoch: int
-    cost: float
-    optimum: float
-    sweeps_used: int
-    moved: float
-
-    @property
-    def tracking_error(self) -> float:
-        """Relative excess cost over the epoch's optimum."""
-        if self.optimum <= 0:
-            return 0.0
-        return (self.cost - self.optimum) / self.optimum
-
-
-@dataclass
-class DynamicBalancer:
-    """Track a :class:`LoadProcess` with a few MinE sweeps per epoch.
-
-    At each epoch the new loads are observed, the previous epoch's relay
-    *fractions* are re-applied to the new volumes (warm start) and at most
-    ``sweeps_per_epoch`` MinE iterations run.  ``history`` records the
-    per-epoch tracking error against a freshly computed optimum.
-    """
-
-    inst_template: Instance
-    process: LoadProcess
-    sweeps_per_epoch: int = 2
-    rel_tol: float = 0.02
-    rng_seed: int = 0
-    history: list[EpochRecord] = field(default_factory=list)
-    _fractions: np.ndarray | None = None
-
-    def run(self, epochs: int, *, compute_optimum: bool = True) -> list[EpochRecord]:
-        """Advance the given number of epochs; returns the new records."""
-        new_records: list[EpochRecord] = []
-        start = len(self.history)
-        for e in range(start, start + epochs):
-            loads = self.process.sample(float(e))
-            inst = self.inst_template.with_loads(loads)
-            state = self._warm_start(inst)
-            optimizer = MinEOptimizer(state, rng=self.rng_seed + e)
-            moved = 0.0
-            used = 0
-            for _ in range(self.sweeps_per_epoch):
-                stats = optimizer.sweep()
-                moved += stats.total_moved
-                used += 1
-                if stats.improvement <= 1e-9 * max(1.0, stats.cost_before):
-                    break
-            optimum = (
-                solve_coordinate_descent(inst, state=state, tol=1e-11).total_cost()
-                if compute_optimum
-                else 0.0
-            )
-            record = EpochRecord(
-                epoch=e,
-                cost=state.total_cost(),
-                optimum=optimum,
-                sweeps_used=used,
-                moved=moved,
-            )
-            new_records.append(record)
-            self.history.append(record)
-            self._fractions = state.fractions()
-        return new_records
-
-    def _warm_start(self, inst: Instance) -> AllocationState:
-        if self._fractions is None:
-            return AllocationState.initial(inst)
-        return AllocationState.from_fractions(inst, self._fractions)
-
-    def mean_tracking_error(self) -> float:
-        if not self.history:
-            return 0.0
-        return float(np.mean([r.tracking_error for r in self.history]))

@@ -37,7 +37,6 @@ __all__ = [
     "Setting",
     "make_instance",
     "paper_settings",
-    "scenario_instances",
     "streaming_announcer",
     "PAPER_SIZES",
     "PAPER_AVG_LOADS",
@@ -171,21 +170,3 @@ def streaming_announcer(cells, render):
         print(render(cell, result), flush=True)
 
     return _announce
-
-
-def scenario_instances(
-    names: str | Iterator[str] | tuple[str, ...] | list[str],
-    *,
-    sizes: tuple[int, ...] | None = None,
-    seeds: tuple[int, ...] = (0,),
-) -> Iterator[tuple[str, int, int, Instance]]:
-    """Bridge the :mod:`repro.workloads` registry into experiment scripts:
-    yield ``(name, m, seed, instance)`` for exactly the cells a
-    :class:`~repro.workloads.ScenarioRunner` with the same arguments would
-    execute (the enumeration is delegated to it), for scripts that want
-    the raw instances instead of the metric table."""
-    from ..workloads.runner import ScenarioRunner
-
-    runner = ScenarioRunner(names, sizes=sizes, seeds=tuple(seeds))
-    for sc, m, seed in runner.grid():
-        yield sc.name, m, seed, sc.instance(m, seed=seed)

@@ -24,9 +24,8 @@ import numpy as np
 from ..core.distributed import MinEOptimizer
 from ..core.state import AllocationState
 from ..engine.sweep import SweepEngine
-from ..workloads.cache import cached_instance, cached_optimum
-from ..workloads.runner import _instance_digest
-from ..workloads.scenario import Scenario, get_scenario
+from ..workloads.cache import cached_instance, cached_optimum, instance_digest
+from ..workloads.scenario import Scenario, scenario_grid
 from .driver import LiveSimulation, get_live_preset
 
 __all__ = ["LiveCell", "evaluate_live_cell", "live_sweep"]
@@ -61,9 +60,10 @@ class LiveCell:
         does) and every config knob that changes the metrics — so a
         shared JSONL store never serves stale rows.
         """
+        inst = cached_instance(self.scenario, self.m, self.seed)
         return (
             f"live|{self.scenario.name}|m={self.m}|seed={self.seed}"
-            f"|inst={_instance_digest(self.scenario, self.m, self.seed)}"
+            f"|inst={instance_digest(inst)}"
             f"|mode={self.mode}|preset={self.preset}|rounds={self.rounds}"
             f"|tol={self.rel_tol}|solver_tol={self.solver_tol}"
         )
@@ -159,29 +159,26 @@ def live_sweep(
 ) -> list[dict]:
     """Sweep sync-vs-async convergence across a scenario grid.
 
-    ``scenarios`` mixes names and :class:`Scenario` objects; ``sizes``
-    of ``None`` uses each scenario's default ``m``.  Returns one metrics
-    row per (scenario, size, seed, mode) cell, in grid order; execution
+    The (scenario, size, seed) grid is
+    :func:`repro.workloads.scenario_grid`'s: names and :class:`Scenario`
+    objects mix, ``sizes=None`` uses each scenario's default ``m`` and an
+    empty axis raises ``ValueError``.  Returns one metrics row per
+    (scenario, size, seed, mode) cell, in grid order; execution
     goes through :class:`repro.engine.SweepEngine`, so any backend and
     any JSONL store work exactly as they do for
     :class:`repro.workloads.ScenarioRunner`.
     """
-    if isinstance(scenarios, (str, Scenario)):
-        scenarios = [scenarios]
-    resolved = [s if isinstance(s, Scenario) else get_scenario(s) for s in scenarios]
     cells = [
         LiveCell(
             scenario=sc,
-            m=int(m),
-            seed=int(seed),
+            m=m,
+            seed=seed,
             mode=mode,
             preset=preset,
             rounds=rounds,
             rel_tol=rel_tol,
         )
-        for sc in resolved
-        for m in (sizes if sizes is not None else (sc.m,))
-        for seed in seeds
+        for sc, m, seed in scenario_grid(scenarios, sizes, seeds)
         for mode in modes
     ]
     engine = SweepEngine(

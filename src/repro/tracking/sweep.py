@@ -25,9 +25,8 @@ from ..core.dynamic import retarget_allocation
 from ..core.qp import solve_coordinate_descent
 from ..engine.registry import get_stateful_solver
 from ..engine.sweep import SweepEngine
-from ..workloads.cache import cached_instance
-from ..workloads.runner import _instance_digest
-from ..workloads.scenario import Scenario, get_scenario
+from ..workloads.cache import cached_instance, instance_digest
+from ..workloads.scenario import Scenario, scenario_grid
 from .traces import get_trace, trace_epochs
 
 __all__ = ["TrackingCell", "evaluate_tracking_cell", "tracking_sweep"]
@@ -56,9 +55,10 @@ class TrackingCell:
         """Stable store identity (instance digest guards against a
         same-named scenario being re-registered with other parameters,
         mirroring :meth:`repro.livesim.LiveCell.key`)."""
+        inst = cached_instance(self.scenario, self.m, self.seed)
         return (
             f"track|{self.scenario.name}|m={self.m}|seed={self.seed}"
-            f"|inst={_instance_digest(self.scenario, self.m, self.seed)}"
+            f"|inst={instance_digest(inst)}"
             f"|trace={self.trace}|solver={self.solver}|tol={self.rel_tol}"
             f"|sweeps={self.max_sweeps}|budget={self.exchange_budget}"
             f"|strategy={self.strategy}|opt_tol={self.optimum_tol}"
@@ -137,29 +137,26 @@ def tracking_sweep(
 ) -> list[dict]:
     """Sweep tracking performance across a scenario × trace × solver grid.
 
-    ``scenarios`` mixes names and :class:`Scenario` objects; ``sizes``
-    of ``None`` uses each scenario's default ``m``.  Returns one metrics
-    row per cell in grid order; execution, sharding and stores go
+    The (scenario, size, seed) grid is
+    :func:`repro.workloads.scenario_grid`'s: names and :class:`Scenario`
+    objects mix, ``sizes=None`` uses each scenario's default ``m`` and an
+    empty axis raises ``ValueError``.  Returns one metrics row per cell
+    in grid order; execution, sharding and stores go
     through :class:`repro.engine.SweepEngine` exactly as every other
     sweep in the repo (out-of-shard pending cells come back ``None``).
     """
-    if isinstance(scenarios, (str, Scenario)):
-        scenarios = [scenarios]
-    resolved = [s if isinstance(s, Scenario) else get_scenario(s) for s in scenarios]
     cells = [
         TrackingCell(
             scenario=sc,
-            m=int(m),
-            seed=int(seed),
+            m=m,
+            seed=seed,
             trace=trace,
             solver=solver,
             rel_tol=rel_tol,
             max_sweeps=max_sweeps,
             exchange_budget=exchange_budget,
         )
-        for sc in resolved
-        for m in (sizes if sizes is not None else (sc.m,))
-        for seed in seeds
+        for sc, m, seed in scenario_grid(scenarios, sizes, seeds)
         for trace in traces
         for solver in solvers
     ]

@@ -41,6 +41,7 @@ from ..workloads.loadmodels import (
     ExponentialLoads,
     FlashCrowdLoads,
     LoadModel,
+    positive_loads,
 )
 
 __all__ = [
@@ -57,16 +58,7 @@ __all__ = [
     "TRACE_PRESETS",
 ]
 
-#: Loads are floored here so every organization stays a (tiny) owner:
-#: the optimizers' owner sets, ``Instance`` validation and the routing
-#: fractions all stay well-defined across every epoch.
-_MIN_LOAD = 1e-6
-
 _TRACE_ENTROPY = 0x7C4C31E5
-
-
-def _positive(loads: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(loads, dtype=np.float64), _MIN_LOAD)
 
 
 @runtime_checkable
@@ -119,14 +111,14 @@ class DriftTrace(_EpochGrid):
             raise ValueError("drift_sigma must be non-negative")
 
     def epochs(self, m, rng):
-        loads = _positive(self.base.sample(m, rng))
+        loads = positive_loads(self.base.sample(m, rng))
         total = loads.sum()
         out = [(0.0, loads)]
         for t in self._times()[1:]:
             loads = loads * rng.lognormal(0.0, self.drift_sigma, size=m)
             if self.renormalize:
                 loads = loads * (total / loads.sum())
-            loads = _positive(loads)
+            loads = positive_loads(loads)
             out.append((t, loads))
         return out
 
@@ -159,12 +151,12 @@ class RegimeSwitchTrace(_EpochGrid):
 
     def epochs(self, m, rng):
         active = 0
-        loads = _positive(self.models[active].sample(m, rng))
+        loads = positive_loads(self.models[active].sample(m, rng))
         out = [(0.0, loads)]
         for t in self._times()[1:]:
             if rng.uniform() < self.switch_prob:
                 active = (active + 1) % len(self.models)
-                loads = _positive(self.models[active].sample(m, rng))
+                loads = positive_loads(self.models[active].sample(m, rng))
             out.append((t, loads))
         return out
 
@@ -202,7 +194,7 @@ class FlashCrowdReplay(_EpochGrid):
             raise ValueError("decay must be in (0, 1)")
 
     def epochs(self, m, rng):
-        background = _positive(self.base.sample(m, rng))
+        background = positive_loads(self.base.sample(m, rng))
         hot = rng.choice(
             m, size=max(1, int(round(self.crowd_fraction * m))), replace=False
         )
@@ -217,7 +209,7 @@ class FlashCrowdReplay(_EpochGrid):
                 else:
                     level = self.decay ** (steps_in - self.ramp_epochs + 1)
                 loads[hot] = background[hot] + level * peak
-            out.append((t, _positive(loads)))
+            out.append((t, positive_loads(loads)))
         return out
 
 
@@ -253,7 +245,7 @@ class DiurnalSweepTrace(_EpochGrid):
             day = k / self.n_epochs
             level = 1.0 + self.amplitude * np.sin(2.0 * np.pi * (day + phase))
             noise = rng.lognormal(0.0, self.noise_sigma, size=m)
-            out.append((t, _positive(self.base * level * noise)))
+            out.append((t, positive_loads(self.base * level * noise)))
         return out
 
 
@@ -307,7 +299,7 @@ class MeasuredTrace(_EpochGrid):
                 f"cannot replay it for m={m}"
             )
         return [
-            (k * float(self.epoch_rounds), _positive(row))
+            (k * float(self.epoch_rounds), positive_loads(row))
             for k, row in enumerate(self.matrix)
         ]
 

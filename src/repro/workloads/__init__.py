@@ -21,6 +21,7 @@ from .cache import (
     cached_optimum,
     clear_cache,
     get_cache_dir,
+    instance_digest,
     set_cache_dir,
 )
 from .loadmodels import (
@@ -50,6 +51,7 @@ from .scenario import (
     get_scenario,
     list_scenarios,
     register_scenario,
+    scenario_grid,
 )
 from .topologies import (
     fat_tree_latency,
@@ -81,6 +83,7 @@ __all__ = [
     "register_scenario",
     "get_scenario",
     "list_scenarios",
+    "scenario_grid",
     "PRESETS",
     "TRUST_PRESETS",
     # batch runner
@@ -94,6 +97,7 @@ __all__ = [
     "cached_optimum",
     "cache_stats",
     "clear_cache",
+    "instance_digest",
     "set_cache_dir",
     "get_cache_dir",
 ]

@@ -52,6 +52,7 @@ __all__ = [
     "cache_stats",
     "bind_obs",
     "clear_cache",
+    "instance_digest",
     "set_cache_dir",
     "get_cache_dir",
 ]
@@ -111,18 +112,26 @@ def get_cache_dir() -> "str | None":
     return _CACHE_DIR
 
 
-def _disk_path(
-    scenario: Scenario, inst: Instance, m: int, seed: int, tol: float, method: str
-) -> str:
-    """One ``.npz`` per cell key.  The digest covers what the solver
-    actually consumes (speeds, loads, latency bytes), so any way of
-    redefining a same-named scenario changes the file name."""
+def instance_digest(inst: Instance) -> str:
+    """Fingerprint of a materialized instance: eight hex digits of crc32
+    over what the solvers consume (speeds, loads, latency bytes).
+
+    Every sweep's store keys and the on-disk optimum file names embed
+    it, so any way of redefining a same-named scenario — swapped load
+    models, closure topologies capturing other matrices, changed base
+    seeds — changes them, where hashing the definition's repr could not.
+    """
     h = zlib.crc32(inst.speeds.tobytes())
     h = zlib.crc32(inst.loads.tobytes(), h)
     h = zlib.crc32(inst.latency.tobytes(), h)
-    name = (
-        f"{scenario.name}-m{m}-s{seed}-tol{tol:g}-{method}-{h & 0xFFFFFFFF:08x}.npz"
-    )
+    return format(h & 0xFFFFFFFF, "08x")
+
+
+def _disk_path(
+    scenario: Scenario, inst: Instance, m: int, seed: int, tol: float, method: str
+) -> str:
+    """One ``.npz`` per cell key, named by :func:`instance_digest`."""
+    name = f"{scenario.name}-m{m}-s{seed}-tol{tol:g}-{method}-{instance_digest(inst)}.npz"
     return os.path.join(_CACHE_DIR, name)
 
 

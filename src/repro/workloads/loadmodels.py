@@ -1,4 +1,4 @@
-"""Parametric load-trace models.
+"""Parametric load models: one snapshot per draw.
 
 The paper's Section VI evaluates three static load snapshots (uniform,
 exponential, peak).  Production systems see far richer traffic: diurnal
@@ -6,12 +6,11 @@ cycles that peak at different local times per region, flash crowds that
 concentrate demand on a handful of organizations, heavy-tailed org sizes
 (a few giants, many small tenants) and correlated regional surges.
 
-Every model is a frozen dataclass with two entry points:
-
-* :meth:`LoadModel.sample` — one load *snapshot* ``n`` of shape ``(m,)``
-  (strictly positive, suitable for :class:`repro.Instance`);
-* :meth:`LoadModel.trace` — a ``(steps, m)`` load *trajectory*, the input
-  of :class:`repro.DynamicBalancer`-style tracking experiments.
+Every model is a frozen dataclass whose one entry point,
+:meth:`LoadModel.sample`, draws a load *snapshot* ``n`` of shape ``(m,)``
+(strictly positive, suitable for :class:`repro.Instance`).  Load
+*trajectories* are :mod:`repro.tracking` traces, most of which are
+built on these snapshots (drift, regime switches, flash-crowd replay).
 
 All randomness flows through the caller's generator, so a fixed seed gives
 a bit-identical workload — the property the scenario registry builds on.
@@ -33,12 +32,13 @@ __all__ = [
     "ParetoLoads",
     "LognormalLoads",
     "CorrelatedSurgeLoads",
+    "positive_loads",
     "scale_to_average",
 ]
 
-#: Loads are floored at this value so every organization participates and
-#: ``Instance`` validation (finite, non-negative) plus the optimizers'
-#: owner sets stay well-defined.
+#: Loads are floored at this value so every organization stays a (tiny)
+#: owner: ``Instance`` validation, the optimizers' owner sets and the
+#: routing fractions of every trace epoch all stay well-defined.
 _MIN_LOAD = 1e-6
 
 
@@ -51,55 +51,43 @@ def scale_to_average(loads: np.ndarray, avg: float) -> np.ndarray:
     return loads * (float(avg) / mean)
 
 
-def _positive(loads: np.ndarray) -> np.ndarray:
-    return np.maximum(loads, _MIN_LOAD)
+def positive_loads(loads: np.ndarray) -> np.ndarray:
+    """``loads`` as float64, floored at a tiny positive load — the one
+    floor of every load model snapshot and trace epoch."""
+    return np.maximum(np.asarray(loads, dtype=np.float64), _MIN_LOAD)
 
 
 @runtime_checkable
 class LoadModel(Protocol):
-    """Anything that can emit load snapshots and trajectories."""
+    """Anything that can emit load snapshots."""
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """One strictly-positive load snapshot of shape ``(m,)``."""
         ...
 
-    def trace(self, m: int, steps: int, rng: np.random.Generator) -> np.ndarray:
-        """A ``(steps, m)`` load trajectory."""
-        ...
-
-
-class _BaseModel:
-    """Default ``trace``: independent re-draws per step (memoryless)."""
-
-    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-    def trace(self, m: int, steps: int, rng: np.random.Generator) -> np.ndarray:
-        return np.stack([self.sample(m, rng) for _ in range(steps)])
-
 
 @dataclass(frozen=True)
-class UniformLoads(_BaseModel):
+class UniformLoads:
     """The paper's *uniform* snapshot: ``n_i ~ U(0, 2·avg)``."""
 
     avg: float = 50.0
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        return _positive(rng.uniform(0.0, 2.0 * self.avg, size=m))
+        return positive_loads(rng.uniform(0.0, 2.0 * self.avg, size=m))
 
 
 @dataclass(frozen=True)
-class ExponentialLoads(_BaseModel):
+class ExponentialLoads:
     """The paper's *exponential* snapshot: ``n_i ~ Exp(avg)``."""
 
     avg: float = 50.0
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        return _positive(rng.exponential(self.avg, size=m))
+        return positive_loads(rng.exponential(self.avg, size=m))
 
 
 @dataclass(frozen=True)
-class DiurnalLoads(_BaseModel):
+class DiurnalLoads:
     """Day/night sinusoid with per-organization local-time phases.
 
     Each organization sits in one of ``regions`` time zones; region ``r``'s
@@ -122,31 +110,17 @@ class DiurnalLoads(_BaseModel):
         if self.regions < 1:
             raise ValueError("need at least one region")
 
-    def _at(self, m: int, t: float, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        t = float(rng.uniform())
         region = rng.integers(0, self.regions, size=m)
         phase = region / self.regions
         level = 1.0 + self.amplitude * np.sin(2.0 * np.pi * (t + phase))
         noise = rng.lognormal(0.0, self.noise_sigma, size=m)
-        return _positive(self.base * level * noise)
-
-    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        return self._at(m, float(rng.uniform()), rng)
-
-    def trace(self, m: int, steps: int, rng: np.random.Generator) -> np.ndarray:
-        # One fixed region assignment; time advances through a full period.
-        region = rng.integers(0, self.regions, size=m)
-        phase = region / self.regions
-        out = np.empty((steps, m))
-        for k in range(steps):
-            t = k / max(1, steps)
-            level = 1.0 + self.amplitude * np.sin(2.0 * np.pi * (t + phase))
-            noise = rng.lognormal(0.0, self.noise_sigma, size=m)
-            out[k] = _positive(self.base * level * noise)
-        return out
+        return positive_loads(self.base * level * noise)
 
 
 @dataclass(frozen=True)
-class FlashCrowdLoads(_BaseModel):
+class FlashCrowdLoads:
     """A few organizations suddenly own a crowd.
 
     Background traffic is exponential with mean ``base``; a random
@@ -164,11 +138,11 @@ class FlashCrowdLoads(_BaseModel):
         hot = max(1, int(round(self.hot_fraction * m)))
         idx = rng.choice(m, size=min(hot, m), replace=False)
         loads[idx] += self.magnitude * self.base * rng.uniform(0.5, 1.5, size=idx.size)
-        return _positive(loads)
+        return positive_loads(loads)
 
 
 @dataclass(frozen=True)
-class ParetoLoads(_BaseModel):
+class ParetoLoads:
     """Heavy-tailed org sizes: ``n_i = scale · (1 + Pareto(shape))``.
 
     With ``shape ≤ 2`` the variance is infinite — a handful of giant
@@ -179,22 +153,22 @@ class ParetoLoads(_BaseModel):
     scale: float = 15.0
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        return _positive(self.scale * (1.0 + rng.pareto(self.shape, size=m)))
+        return positive_loads(self.scale * (1.0 + rng.pareto(self.shape, size=m)))
 
 
 @dataclass(frozen=True)
-class LognormalLoads(_BaseModel):
+class LognormalLoads:
     """Log-normal org sizes (multiplicative growth), median ``median``."""
 
     median: float = 30.0
     sigma: float = 1.0
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        return _positive(self.median * rng.lognormal(0.0, self.sigma, size=m))
+        return positive_loads(self.median * rng.lognormal(0.0, self.sigma, size=m))
 
 
 @dataclass(frozen=True)
-class CorrelatedSurgeLoads(_BaseModel):
+class CorrelatedSurgeLoads:
     """Regionally correlated surges.
 
     Organizations are grouped into ``regions``; each region independently
@@ -216,4 +190,4 @@ class CorrelatedSurgeLoads(_BaseModel):
         surged = rng.uniform(size=self.regions) < self.surge_prob
         factor = np.where(surged, self.surge_factor, 1.0)[region]
         noise = rng.lognormal(0.0, self.noise_sigma, size=m)
-        return _positive(self.base * factor * noise)
+        return positive_loads(self.base * factor * noise)

@@ -47,8 +47,8 @@ import numpy as np
 
 from ..core.state import AllocationState
 from ..engine import JsonlStore, SweepEngine, get_evaluator, get_solver
-from .cache import cached_instance, cached_optimum
-from .scenario import Scenario, get_scenario
+from .cache import cached_instance, cached_optimum, instance_digest
+from .scenario import Scenario, ScenarioLike, scenario_grid
 
 __all__ = [
     "ScenarioResult",
@@ -232,25 +232,6 @@ class ScenarioReport:
         return f"ScenarioReport({len(self.rows)} rows, scenarios={names})"
 
 
-ScenarioLike = Union[str, Scenario]
-
-
-def _instance_digest(sc: Scenario, m: int, seed: int) -> str:
-    """Fingerprint of the *materialized* instance arrays for one cell.
-
-    Hashing what the solvers actually consume (speeds, loads, latency
-    bytes) catches every way a same-named scenario can be redefined —
-    swapped load models, closure/partial topologies capturing different
-    matrices, changed base seeds — where hashing the definition's repr
-    could not.  Costs at most one instance materialization per cell per
-    store lookup (served from the cross-sweep memo cache when warm)."""
-    inst = cached_instance(sc, m, seed)
-    h = zlib.crc32(inst.speeds.tobytes())
-    h = zlib.crc32(inst.loads.tobytes(), h)
-    h = zlib.crc32(inst.latency.tobytes(), h)
-    return format(h & 0xFFFFFFFF, "08x")
-
-
 @dataclass(frozen=True)
 class SweepCell:
     """One picklable unit of work: a scenario cell plus the evaluation
@@ -287,10 +268,10 @@ class SweepCell:
         if cached is not None:
             return cached
         digest = zlib.crc32(repr(cfg).encode()) & 0xFFFFFFFF
+        inst = cached_instance(self.scenario, self.m, self.seed)
         key = (
             f"{self.scenario.name}|m={self.m}|seed={self.seed}"
-            f"|inst={_instance_digest(self.scenario, self.m, self.seed)}"
-            f"|cfg={digest:08x}"
+            f"|inst={instance_digest(inst)}|cfg={digest:08x}"
         )
         object.__setattr__(self, "_key", key)  # memo on the frozen cell
         return key
@@ -416,21 +397,12 @@ class ScenarioRunner:
         stream_events_target: float = 2000.0,
         solver_tol: float = 1e-9,
     ):
-        if isinstance(scenarios, (str, Scenario)):
-            scenarios = [scenarios]
-        self.scenarios: list[Scenario] = [
-            s if isinstance(s, Scenario) else get_scenario(s) for s in scenarios
-        ]
-        if not self.scenarios:
-            raise ValueError("at least one scenario is required")
+        # Enumerated at construction, so an empty axis fails here.
+        self._grid = scenario_grid(scenarios, sizes, seeds)
         unknown = set(metrics) - set(KNOWN_METRICS)
         if unknown:
             raise ValueError(f"unknown metrics {sorted(unknown)}; "
                              f"choose from {KNOWN_METRICS}")
-        self.sizes = None if sizes is None else tuple(int(m) for m in sizes)
-        self.seeds = tuple(int(s) for s in seeds)
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
         self.metrics = frozenset(metrics) | {"optimal"}
         self.mine_strategy = str(mine_strategy)
         self.mine_max_iterations = int(mine_max_iterations)
@@ -441,14 +413,10 @@ class ScenarioRunner:
 
     # ------------------------------------------------------------------
     def grid(self) -> list[tuple[Scenario, int, int]]:
-        """The cartesian (scenario, m, seed) cells, in declared order —
-        report rows and CSV output follow this order exactly."""
-        cells = []
-        for sc in self.scenarios:
-            for m in (self.sizes if self.sizes is not None else (sc.m,)):
-                for seed in self.seeds:
-                    cells.append((sc, int(m), int(seed)))
-        return cells
+        """The cartesian (scenario, m, seed) cells, in declared order
+        (:func:`~repro.workloads.scenario_grid`) — report rows and CSV
+        output follow this order exactly."""
+        return list(self._grid)
 
     def cells(self) -> list[SweepCell]:
         """The grid as self-contained, picklable :class:`SweepCell` work

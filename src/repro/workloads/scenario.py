@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -58,6 +58,7 @@ __all__ = [
     "register_scenario",
     "get_scenario",
     "list_scenarios",
+    "scenario_grid",
     "PRESETS",
     "TRUST_PRESETS",
 ]
@@ -191,13 +192,6 @@ class Scenario:
             latency = restrict_latency(latency, allowed)
         return Instance(speeds, loads, latency)
 
-    def load_trace(
-        self, steps: int, m: int | None = None, *, seed: int | None = None
-    ) -> np.ndarray:
-        """A ``(steps, m)`` load trajectory for dynamic-tracking runs."""
-        m = self.m if m is None else int(m)
-        return self.load_model.trace(m, steps, self.rng(m, seed))
-
     def with_overrides(self, **changes) -> "Scenario":
         """A copy with some fields replaced (dataclass ``replace``)."""
         return replace(self, **changes)
@@ -235,6 +229,46 @@ def get_scenario(name: str) -> Scenario:
 def list_scenarios() -> dict[str, str]:
     """``{name: description}`` for every registered scenario."""
     return {name: s.description for name, s in sorted(_REGISTRY.items())}
+
+
+ScenarioLike = Union[str, Scenario]
+
+
+def scenario_grid(
+    scenarios: Iterable[ScenarioLike] | ScenarioLike,
+    sizes: Iterable[int] | None,
+    seeds: Iterable[int],
+) -> list[tuple[Scenario, int, int]]:
+    """The cartesian ``(scenario, m, seed)`` cells of a sweep, in declared
+    order.
+
+    ``scenarios`` mixes registry names and :class:`Scenario` objects (a
+    single one of either is a one-scenario grid); ``sizes`` of ``None``
+    uses each scenario's default ``m``.  Every sweep enumerates its grid
+    here — :class:`~repro.workloads.ScenarioRunner`,
+    :func:`repro.livesim.live_sweep` and :func:`repro.tracking.tracking_sweep`
+    — so their rows, stores and shards follow one order.  An empty axis
+    raises a ``ValueError`` naming it: a sweep over nothing is a mistake,
+    not an empty report.
+    """
+    if isinstance(scenarios, (str, Scenario)):
+        scenarios = [scenarios]
+    resolved = [s if isinstance(s, Scenario) else get_scenario(s) for s in scenarios]
+    sizes = None if sizes is None else [int(m) for m in sizes]
+    seeds = [int(seed) for seed in seeds]
+    for arg, axis, what in (
+        ("scenarios", resolved, "scenario"),
+        ("sizes", sizes, "size; pass sizes=None for each scenario's default m"),
+        ("seeds", seeds, "seed"),
+    ):
+        if axis is not None and not axis:
+            raise ValueError(f"{arg} is empty: a sweep needs at least one {what}")
+    return [
+        (sc, m, seed)
+        for sc in resolved
+        for m in (sizes if sizes is not None else (sc.m,))
+        for seed in seeds
+    ]
 
 
 # ----------------------------------------------------------------------

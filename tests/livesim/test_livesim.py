@@ -202,6 +202,17 @@ def test_live_sweep_sync_vs_async():
     assert by_mode["sync"]["optimal_cost"] == by_mode["async"]["optimal_cost"]
 
 
+@pytest.mark.parametrize(
+    "scenarios, sizes, seeds, axis",
+    [([], [8], [0], "scenarios"),
+     (["paper-homogeneous"], [], [0], "sizes"),
+     (["paper-homogeneous"], [8], [], "seeds")],
+)
+def test_live_sweep_rejects_empty_axis(scenarios, sizes, seeds, axis):
+    with pytest.raises(ValueError, match=f"{axis} is empty"):
+        live_sweep(scenarios, sizes=sizes, seeds=seeds)
+
+
 def test_live_cell_validates_mode_and_preset():
     sc = get_scenario("paper-homogeneous")
     with pytest.raises(ValueError):

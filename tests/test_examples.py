@@ -34,6 +34,11 @@ def _small_examples(monkeypatch, capsys):
         "workload_tracking.py",
         "byzantine_robustness.py",
         "sharded_sweep_coordinator.py",
+        "cdn_replica_placement.py",
+        "cloud_federation_selfish.py",
+        "dynamic_tracking.py",
+        "gossip_peak_offload.py",
+        "streaming_datacenter.py",
     ],
 )
 def test_example_runs(script, capsys):

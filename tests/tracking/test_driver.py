@@ -170,6 +170,29 @@ class TestTrackingSweep:
         again = tracking_sweep(["paper-planetlab"], store=store, **kw)
         assert again == rows  # all served from the store
 
+    def test_warm_tracks_diurnal_and_flash_crowds(self):
+        """Lock-step tracking: a warm-started MinE session keeps every
+        epoch of a day's diurnal waves and of a flash-crowd incident
+        within the 2 % bound."""
+        rows = tracking_sweep(
+            ["paper-planetlab"], traces=["diurnal", "flash-replay"],
+            solvers=("mine-warm",), sizes=[10], seeds=[0],
+        )
+        assert [r["trace"] for r in rows] == ["diurnal", "flash-replay"]
+        for r in rows:
+            assert r["all_retracked"] and r["retracked_epochs"] == r["epochs"]
+            assert r["max_error"] <= 0.02
+
+    @pytest.mark.parametrize(
+        "scenarios, sizes, seeds, axis",
+        [([], [8], [0], "scenarios"),
+         (["paper-planetlab"], [], [0], "sizes"),
+         (["paper-planetlab"], [8], [], "seeds")],
+    )
+    def test_empty_axis_rejected(self, scenarios, sizes, seeds, axis):
+        with pytest.raises(ValueError, match=f"{axis} is empty"):
+            tracking_sweep(scenarios, sizes=sizes, seeds=seeds)
+
     def test_sharded_union_covers_grid(self, tmp_path):
         from repro.engine import JsonlStore
 

@@ -15,6 +15,7 @@ from repro.workloads import (
     cached_optimum,
     clear_cache,
     get_scenario,
+    instance_digest,
 )
 from repro.workloads.scenario import _homogeneous_20ms
 
@@ -142,7 +143,7 @@ class TestDiskTier:
             set_cache_dir(prev)
             clear_cache()
 
-    def test_solver_params_and_instance_digest_in_file_name(self, tmp_path):
+    def test_file_name_carries_solver_params_and_digest(self, tmp_path):
         from repro.workloads import set_cache_dir
 
         sc = get_scenario("paper-homogeneous")
@@ -153,6 +154,8 @@ class TestDiskTier:
             cached_optimum(sc, 10, 0, tol=1e-6)   # different tolerance
             cached_optimum(sc, 10, 1)             # different seed
             assert len(list(tmp_path.glob("*.npz"))) == 3
+            digest = instance_digest(cached_instance(sc, 10, 1))
+            assert (tmp_path / f"{sc.name}-m10-s1-tol1e-09-auto-{digest}.npz").exists()
         finally:
             set_cache_dir(prev)
             clear_cache()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.tracking import RegimeSwitchTrace, trace_epochs
 from repro.workloads import (
     CorrelatedSurgeLoads,
     DiurnalLoads,
@@ -45,7 +46,10 @@ class TestAllModels:
         assert not np.array_equal(a, b)
 
     def test_trace_shape(self, model):
-        tr = model.trace(10, 5, np.random.default_rng(0))
+        """Trajectories are tracking traces: any model drives one (a
+        single-model regime switch re-draws the snapshot every epoch)."""
+        trace = RegimeSwitchTrace(models=(model,), n_epochs=5, switch_prob=1.0)
+        tr = np.stack([loads for _t, loads in trace_epochs(trace, 10)])
         assert tr.shape == (5, 10)
         assert np.all(tr > 0)
 
@@ -66,12 +70,6 @@ class TestSpecifics:
             500, np.random.default_rng(0)
         )
         assert loads.max() > 10 * loads.mean()
-
-    def test_diurnal_trace_oscillates(self):
-        model = DiurnalLoads(base=100.0, amplitude=0.9, regions=1, noise_sigma=0.0)
-        tr = model.trace(5, 24, np.random.default_rng(0))
-        col = tr[:, 0]
-        assert col.max() > 1.5 * col.min()
 
     def test_diurnal_rejects_bad_amplitude(self):
         with pytest.raises(ValueError, match="amplitude"):

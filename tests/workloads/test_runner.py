@@ -118,6 +118,8 @@ class TestRunner:
             ScenarioRunner("paper-homogeneous", seeds=())
         with pytest.raises(ValueError, match="at least one scenario"):
             ScenarioRunner([])
+        with pytest.raises(ValueError, match="sizes is empty"):
+            ScenarioRunner("paper-homogeneous", sizes=[])
         with pytest.raises(KeyError, match="unknown scenario"):
             ScenarioRunner("no-such-scenario")
 

@@ -64,11 +64,6 @@ class TestScenario:
         sc = get_scenario("paper-planetlab")
         assert sc.instance().m == sc.m
 
-    def test_load_trace(self):
-        tr = get_scenario("federation-diurnal").load_trace(4, m=9, seed=0)
-        assert tr.shape == (4, 9)
-        assert np.all(tr > 0)
-
     def test_with_overrides(self):
         sc = get_scenario("paper-planetlab").with_overrides(m=7, seed=9)
         assert sc.m == 7 and sc.seed == 9
