@@ -232,6 +232,8 @@ class DiurnalSweepTrace(_EpochGrid):
 
     def __post_init__(self) -> None:
         self._check()
+        if self.base < 0:
+            raise ValueError("base load must be non-negative")
         if not 0.0 <= self.amplitude < 1.0:
             raise ValueError("amplitude must be in [0, 1) to keep loads positive")
         if self.regions < 1:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tracking import RegimeSwitchTrace, trace_epochs
+from repro.tracking import DiurnalSweepTrace, RegimeSwitchTrace, trace_epochs
 from repro.workloads import (
     CorrelatedSurgeLoads,
     DiurnalLoads,
@@ -70,6 +70,17 @@ class TestSpecifics:
             500, np.random.default_rng(0)
         )
         assert loads.max() > 10 * loads.mean()
+
+    def test_diurnal_trace_oscillates(self):
+        """A day of the diurnal sine, swept as a tracking trace."""
+        trace = DiurnalSweepTrace(
+            base=100.0, amplitude=0.9, regions=1, noise_sigma=0.0, n_epochs=24
+        )
+        tr = np.stack([loads for _t, loads in trace_epochs(trace, 5)])
+        col = tr[:, 0]
+        assert col.max() > 1.5 * col.min()
+        # one region, no noise: every organization rides the same wave
+        np.testing.assert_array_equal(tr, np.repeat(tr[:, :1], 5, axis=1))
 
     def test_diurnal_rejects_bad_amplitude(self):
         with pytest.raises(ValueError, match="amplitude"):

@@ -5,6 +5,7 @@ import pytest
 
 from repro import Instance
 from repro.net.latency import is_metric
+from repro.tracking import DiurnalSweepTrace, trace_epochs
 from repro.workloads import (
     ExponentialLoads,
     Scenario,
@@ -63,6 +64,21 @@ class TestScenario:
     def test_default_m_used(self):
         sc = get_scenario("paper-planetlab")
         assert sc.instance().m == sc.m
+
+    def test_load_trace(self):
+        """A scenario's load trajectory is a tracking trace replayed on its
+        instance: loads move per epoch, topology and speeds persist."""
+        inst = get_scenario("federation-diurnal").instance(m=9, seed=0)
+        epochs = [
+            inst.with_loads(loads)
+            for _t, loads in trace_epochs(DiurnalSweepTrace(n_epochs=4), 9, 0)
+        ]
+        tr = np.stack([e.loads for e in epochs])
+        assert tr.shape == (4, 9)
+        assert np.all(tr > 0)
+        for e in epochs:
+            np.testing.assert_array_equal(e.speeds, inst.speeds)
+            np.testing.assert_array_equal(e.latency, inst.latency)
 
     def test_with_overrides(self):
         sc = get_scenario("paper-planetlab").with_overrides(m=7, seed=9)
