@@ -322,14 +322,13 @@ def test_livesim_m5000_scale():
     Runs at the *default* screen width (16): pre-batch, m = 2000 needed
     width 8 to stay inside the CI budget; the batched kernel makes the
     wider screen nearly free, so the larger fleet still converges in a
-    comparable round count.  Adaptive gossip trims steady-state traffic
-    once views stop churning.
+    comparable round count.  Gossip runs at the preset's fixed interval.
     """
     sc = next(s for s in PRESETS if s.name == "regional-surge")
     m = 5000
     inst = cached_instance(sc, m, 0)
     opt_state, opt_cost, solve_wall, _ = cached_optimum(sc, m, 0)
-    cfg = dataclasses.replace(get_live_preset("lossy"), gossip_adaptive=True)
+    cfg = get_live_preset("lossy")
     sim = LiveSimulation(inst, config=cfg, seed=0, optimum=opt_state)
     report = sim.run(rounds=30)
     while report.final_error > REL_TOL and report.horizon < (
@@ -365,7 +364,6 @@ def test_livesim_m5000_scale():
             "preset": "lossy",
             "rel_tol": REL_TOL,
             "screen_width": cfg.agent_screen_width,
-            "gossip_adaptive": True,
             "optimal_cost": opt_cost,
             "optimum_solve_wall_s": solve_wall,
             "final_error": report.final_error,
@@ -380,7 +378,6 @@ def test_livesim_m5000_scale():
             "messages": report.net.sent,
             "dropped": report.net.dropped,
             "payload_bytes": report.gossip.payload_bytes,
-            "gossip_interval_final": sim.gossip.mean_interval(),
             "events_processed": report.events_processed,
             "events_per_sec": report.events_per_sec,
             "sim_wall_s": report.wall_s,
@@ -401,10 +398,10 @@ def test_livesim_m5000_scale():
 @scale_only
 def test_livesim_m5000_split_equals_long():
     """m = 5000 determinism: a chunked run (the early-exit loop above)
-    replays one long run event-for-event, adaptive gossip included."""
+    replays one long run event-for-event."""
     sc = next(s for s in PRESETS if s.name == "regional-surge")
     inst = cached_instance(sc, 5000, 0)
-    cfg = dataclasses.replace(get_live_preset("lossy"), gossip_adaptive=True)
+    cfg = get_live_preset("lossy")
 
     sim_long = LiveSimulation(inst, config=cfg, seed=0)
     rep_long = sim_long.run(rounds=6)

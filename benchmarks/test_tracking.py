@@ -18,7 +18,7 @@ These benches cover the ``repro.tracking`` acceptance criteria:
   **≤20 % of its payload bytes**.
 * :func:`test_tracking_m5000_drift` — the batched-kernel scale case
   (``REPRO_SCALE=1``, the CI perf job): a m = 5000 live plane (lossy,
-  delta + adaptive gossip, screened batched proposals) re-tracks every
+  delta gossip, screened batched proposals) re-tracks every
   epoch of a sigma = 0.35 demand drift to the 2 % bound.
 
 Measurements land in ``benchmarks/out/BENCH_tracking.json``;
@@ -282,7 +282,7 @@ def test_delta_gossip_payload_m2000():
 @scale_only
 def test_tracking_m5000_drift():
     """Per-epoch re-tracking at m = 5000 under the fleet-scale config
-    (lossy network, delta + adaptive gossip, screened batched agents).
+    (lossy network, delta gossip, screened batched agents).
 
     The built-in traces use uniform epoch grids, but at m = 5000 epoch 0
     must first converge *cold* from the all-local allocation (~70 agent
@@ -304,7 +304,6 @@ def test_tracking_m5000_drift():
     cfg = dataclasses.replace(
         get_live_preset("lossy"),
         gossip_mode="delta",
-        gossip_adaptive=True,
         agent_strategy="screened",
     )
     sim = TrackingSimulation(
@@ -338,7 +337,7 @@ def test_tracking_m5000_drift():
             "scenario": sc.name,
             "m": M5000,
             "trace": f"{M5000_TRACE} (hand-timed epochs)",
-            "preset": "lossy+delta+adaptive",
+            "preset": "lossy+delta",
             "rel_tol": REL_TOL,
             "epochs": len(report.epochs),
             "epoch_rounds": [e.duration_rounds for e in report.epochs],

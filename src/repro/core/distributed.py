@@ -138,7 +138,6 @@ def batch_exchange_stats(
     owners: np.ndarray,
     loads: np.ndarray | None = None,
     *,
-    order_cache: dict[int, np.ndarray] | None = None,
     compute_moved: bool = True,
     rt_full: np.ndarray | None = None,
     ct_full: np.ndarray | None = None,
@@ -152,15 +151,15 @@ def batch_exchange_stats(
     restricts the per-organization computation to rows that can hold load
     (``n_k > 0``); all other rows of ``R`` are identically zero.
 
-    ``order_cache`` may hold the per-server argsort of the latency
-    difference matrix — it depends only on the static latencies, so
-    :class:`MinEOptimizer` reuses it across sweeps.  ``static_cache``
-    goes further and also holds the sliced latency matrix, the latency
-    difference row in sorted order and the per-server latency column —
-    every input that does not depend on ``R`` or ``loads`` — which
-    roughly halves the per-call numpy work for repeated proposals (the
-    event-driven agents' hot path).  ``compute_moved=False`` skips the
-    transfer-volume output (partner selection only needs ``impr``).
+    ``static_cache`` may hold, per server, every input that does not
+    depend on ``R`` or ``loads`` — the argsort of the latency difference
+    matrix, the differences in sorted order, the per-server latency
+    column and the closed form's load-independent factors — plus the
+    sliced latency matrix shared by all servers.  They depend only on
+    the static latencies, so :class:`MinEOptimizer` and the event-driven
+    agents reuse them across calls, which roughly halves the per-call
+    numpy work.  ``compute_moved=False`` skips the transfer-volume
+    output (partner selection only needs ``impr``).
     """
     s = inst.speeds
     c = inst.latency
@@ -212,13 +211,9 @@ def batch_exchange_stats(
             D[np.isnan(D)] = np.inf
         else:
             D = Ct - c_owners_i[None, :]  # d_k per candidate row
-        if order_cache is not None and i in order_cache:
-            order = order_cache[i]
-        else:
-            order = np.argsort(D, axis=1)
-            if order_cache is not None:
-                order = order.astype(np.int32, copy=False)
-                order_cache[i] = order
+        order = np.argsort(D, axis=1)
+        if static_cache is not None:
+            order = order.astype(np.int32, copy=False)  # halves the cache
         d_s = D[rows_idx, order]
         # Load-independent precomputes of the closed form: A = A_ratio·L,
         # B·d_s, and the per-column rank grid for the transfer cut-off.
@@ -332,11 +327,8 @@ def batch_best_transfers(
     i: int,
     cand: np.ndarray,
     *,
-    owners: np.ndarray | None = None,
-    order_cache: dict[int, np.ndarray] | None = None,
     rt_full: np.ndarray | None = None,
     ct_full: np.ndarray | None = None,
-    static_cache: dict[int, tuple] | None = None,
     stats: "KernelStats | None" = None,
 ) -> CandidateTransfers:
     """Evaluate Algorithm 1 for server ``i`` against the candidate set
@@ -351,16 +343,12 @@ def batch_best_transfers(
     winner's exchange columns via :meth:`CandidateTransfers.exchange`
     with no extra kernel call.
 
-    Two internal layouts:
-
-    * when ``static_cache`` holds server ``i``'s full per-server statics
-      (small fleets — the exact path's caches), the cached argsort /
-      sorted-difference rows are sliced by ``cand`` and reused;
-    * otherwise (fleet scale, where the full caches exceed the memory
-      budget) the pass restricts every op to the *union support* of the
-      pooled columns — the allocation stays sparse, so the sort runs
-      over ``h_eff ≪ m`` owners, with a stable order matching
-      ``calc_best_transfer`` column-for-column.
+    The pass restricts every op to the *union support* of the pooled
+    columns — the allocation stays sparse, so the sort runs over
+    ``h_eff ≪ m`` owners, with a stable order matching
+    ``calc_best_transfer`` column-for-column.  ``rt_full`` / ``ct_full``
+    may pass maintained contiguous copies of ``R.T`` and the transposed
+    latency matrix, from which the candidate rows are gathered.
 
     ``impr`` is always exact on the true ``R`` (pooled loads come from
     the gathered rows themselves); a stale gossip view only ever enters
@@ -388,67 +376,35 @@ def batch_best_transfers(
             i, cand, e, m, ei, np.empty((0, 0), dtype=np.intp), e2, e2.copy(), e
         )
 
+    # Gather the candidate rows once, then restrict everything
+    # downstream to the union support of the pooled columns — exchanges
+    # keep the allocation sparse, so h_eff ≪ m and the sort is tiny.
     s_c = s[cand]
-    cached = static_cache.get(i) if static_cache is not None else None
-    if cached is not None:
-        # Small-fleet path: the exact path's per-server statics (owner-set
-        # layout, built by batch_exchange_stats) sliced by candidate row.
-        if owners is None:
-            owners = np.flatnonzero(inst.loads > 0)
-        own = owners
-        full = own.shape[0] == m
-        c_i, order_full, d_s_full, A_ratio_full, B_full, Bd_full = cached
-        order = order_full[cand]
-        d_s = d_s_full[cand]
-        Bd = Bd_full[cand]
-        shared = static_cache.get(-1)
-        if shared is not None:
-            Ct = shared[0]
-        elif full:
-            Ct = ct_full
-        else:
-            Ct = np.ascontiguousarray(ct_full[:, own])
-        Cc = Ct[cand]
-        if full:
-            Ri = rt_full[i]
-            Rc = rt_full[cand]
-        else:
-            Ri = rt_full[i, own]
-            Rc = rt_full[np.ix_(cand, own)]
-        lc = Rc.sum(axis=1)
-        li = float(Ri.sum())
-        L = li + lc
-        A = A_ratio_full[cand] * L
-    else:
-        # Fleet-scale path: gather the candidate rows once, then restrict
-        # everything downstream to the union support of the pooled
-        # columns — exchanges keep the allocation sparse, so h_eff ≪ m
-        # and the per-proposal sort is tiny.
-        Rc_rows = rt_full[cand]          # (n, m) contiguous row gather
-        Ri_row = rt_full[i]
-        lc = Rc_rows.sum(axis=1)
-        li = float(Ri_row.sum())
-        own = np.flatnonzero(Rc_rows.sum(axis=0) + Ri_row > 0)
-        Rc = Rc_rows[:, own]
-        Ri = Ri_row[own]
-        c_i = np.ascontiguousarray(ct_full[i, own])
-        Cc = ct_full[np.ix_(cand, own)]
-        if inst.has_inf_latency:
-            with np.errstate(invalid="ignore"):
-                D = Cc - c_i[None, :]
-            # inf − inf → owner reaches neither server; it holds nothing
-            # at either, so any immovable (+inf) difference is correct.
-            D[np.isnan(D)] = np.inf
-        else:
+    Rc_rows = rt_full[cand]          # (n, m) contiguous row gather
+    Ri_row = rt_full[i]
+    lc = Rc_rows.sum(axis=1)
+    li = float(Ri_row.sum())
+    own = np.flatnonzero(Rc_rows.sum(axis=0) + Ri_row > 0)
+    Rc = Rc_rows[:, own]
+    Ri = Ri_row[own]
+    c_i = np.ascontiguousarray(ct_full[i, own])
+    Cc = ct_full[np.ix_(cand, own)]
+    if inst.has_inf_latency:
+        with np.errstate(invalid="ignore"):
             D = Cc - c_i[None, :]
-        # Stable order + the same op order as calc_best_transfer keeps
-        # the realized columns bitwise identical to the per-pair kernel.
-        order = np.argsort(D, axis=1, kind="stable")
-        d_s = np.take_along_axis(D, order, axis=1)
-        B = s_i * s_c / (s_i + s_c)
-        Bd = B[:, None] * d_s
-        L = li + lc
-        A = s_c * L / (s_i + s_c)
+        # inf − inf → owner reaches neither server; it holds nothing at
+        # either, so any immovable (+inf) difference is correct.
+        D[np.isnan(D)] = np.inf
+    else:
+        D = Cc - c_i[None, :]
+    # Stable order + the same op order as calc_best_transfer keeps the
+    # realized columns bitwise identical to the per-pair kernel.
+    order = np.argsort(D, axis=1, kind="stable")
+    d_s = np.take_along_axis(D, order, axis=1)
+    B = s_i * s_c / (s_i + s_c)
+    Bd = B[:, None] * d_s
+    L = li + lc
+    A = s_c * L / (s_i + s_c)
 
     h = own.shape[0]
     Pool = Rc + Ri[None, :]
@@ -490,7 +446,6 @@ def best_partner_exact(
     i: int,
     owners: np.ndarray,
     loads: np.ndarray | None = None,
-    order_cache: dict[int, np.ndarray] | None = None,
     rt_full: np.ndarray | None = None,
     ct_full: np.ndarray | None = None,
     static_cache: dict[int, tuple] | None = None,
@@ -508,9 +463,8 @@ def best_partner_exact(
         stats.kernel_calls += 1
         stats.kernel_candidates += inst.m - 1
     impr, _ = batch_exchange_stats(
-        inst, R, i, owners, loads, order_cache=order_cache,
-        compute_moved=False, rt_full=rt_full, ct_full=ct_full,
-        static_cache=static_cache,
+        inst, R, i, owners, loads, compute_moved=False,
+        rt_full=rt_full, ct_full=ct_full, static_cache=static_cache,
     )
     if exclude is not None:
         impr = impr.copy()
@@ -567,11 +521,8 @@ def best_partner_screened(
     loads: np.ndarray,
     *,
     screen_width: int = 16,
-    owners: np.ndarray | None = None,
-    order_cache: dict[int, np.ndarray] | None = None,
     rt_full: np.ndarray | None = None,
     ct_full: np.ndarray | None = None,
-    static_cache: dict[int, tuple] | None = None,
     screen_cache: dict[int, np.ndarray] | None = None,
     exclude=None,
     stats: "KernelStats | None" = None,
@@ -584,9 +535,9 @@ def best_partner_screened(
 
     Stale ``loads`` enter the *scoring* only; the improvement returned
     is the exact improvement of the chosen candidate on the true ``R``.
-    The cache dictionaries mirror the exact path's static precomputes
-    (latency argsorts / transposes) plus the screened-only
-    ``screen_cache`` of per-server lowest-latency peers.
+    ``rt_full`` / ``ct_full`` are the maintained transposes of ``R`` and
+    the latency matrix, and ``screen_cache`` the per-server
+    lowest-latency peers (see :func:`screen_candidates`).
     """
     cand = screen_candidates(
         inst, loads, i, screen_width=screen_width, screen_cache=screen_cache
@@ -596,9 +547,7 @@ def best_partner_screened(
     if cand.size == 0:
         return -1, -np.inf
     bt = batch_best_transfers(
-        inst, R, i, cand, owners=owners, order_cache=order_cache,
-        rt_full=rt_full, ct_full=ct_full, static_cache=static_cache,
-        stats=stats,
+        inst, R, i, cand, rt_full=rt_full, ct_full=ct_full, stats=stats
     )
     _, j, impr = bt.best()
     return j, impr
@@ -613,7 +562,6 @@ def propose_partner(
     owners: np.ndarray | None = None,
     strategy: Literal["exact", "screened", "auto"] = "auto",
     screen_width: int = 16,
-    order_cache: dict[int, np.ndarray] | None = None,
     rt_full: np.ndarray | None = None,
     ct_full: np.ndarray | None = None,
     static_cache: dict[int, tuple] | None = None,
@@ -635,9 +583,9 @@ def propose_partner(
     O(m) pre-selection plus one :func:`batch_best_transfers` dispatch
     (required at fleet scale, where the exact batch is O(h·m log m) per
     proposal), and ``"auto"`` picks by the :data:`EXACT_BUDGET` size
-    threshold.  ``order_cache`` / ``rt_full`` / ``ct_full`` /
-    ``static_cache`` / ``screen_cache`` are the optional static caches
-    shared by both strategies; ``stats`` counts kernel dispatches.
+    threshold.  ``rt_full`` / ``ct_full`` (both strategies),
+    ``static_cache`` (exact) and ``screen_cache`` (screened) are the
+    optional static caches; ``stats`` counts kernel dispatches.
     """
     if strategy not in ("exact", "screened", "auto"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -650,13 +598,12 @@ def propose_partner(
     if strategy == "screened":
         view = loads if loads is not None else R.sum(axis=0)
         return best_partner_screened(
-            inst, R, i, view, screen_width=screen_width, owners=owners,
-            order_cache=order_cache, rt_full=rt_full, ct_full=ct_full,
-            static_cache=static_cache, screen_cache=screen_cache,
-            exclude=exclude, stats=stats,
+            inst, R, i, view, screen_width=screen_width, rt_full=rt_full,
+            ct_full=ct_full, screen_cache=screen_cache, exclude=exclude,
+            stats=stats,
         )
     return best_partner_exact(
-        inst, R, i, owners, loads, order_cache, rt_full, ct_full, static_cache,
+        inst, R, i, owners, loads, rt_full, ct_full, static_cache,
         exclude=exclude, stats=stats,
     )
 
@@ -752,6 +699,8 @@ class MinEOptimizer:
         )
         if strategy not in ("exact", "screened", "auto"):
             raise ValueError(f"unknown strategy {strategy!r}")
+        if screen_width < 1:
+            raise ValueError(f"screen_width must be >= 1, got {screen_width}")
         self.strategy = strategy
         self.screen_width = int(screen_width)
         self.min_improvement = float(min_improvement)
@@ -767,9 +716,7 @@ class MinEOptimizer:
         # stays modest.
         m = state.inst.m
         h = max(1, self.owners.size)
-        caches_ok = static_caches_enabled(m, h)
-        self._order_cache: dict[int, np.ndarray] | None = {} if caches_ok else None
-        self._static_cache: dict[int, tuple] | None = {} if caches_ok else None
+        self._static_cache = {} if static_caches_enabled(m, h) else None
         # Per-server nearest-peer lists for the screening pass (static:
         # latency only), and dispatch counters for the transfer kernels.
         self._screen_cache: dict[int, np.ndarray] = {}
@@ -804,9 +751,7 @@ class MinEOptimizer:
         )
         return batch_best_transfers(
             self.state.inst, self.state.R, i, cand,
-            owners=self.owners, order_cache=self._order_cache,
-            rt_full=self._Rt, ct_full=self._Ct,
-            static_cache=self._static_cache, stats=self.kernel_stats,
+            rt_full=self._Rt, ct_full=self._Ct, stats=self.kernel_stats,
         )
 
     def best_partner(self, i: int) -> tuple[int, float]:
@@ -816,7 +761,7 @@ class MinEOptimizer:
         if self._effective_strategy() == "exact":
             return best_partner_exact(
                 inst, self.state.R, i, self.owners, loads,
-                self._order_cache, self._Rt, self._Ct, self._static_cache,
+                self._Rt, self._Ct, self._static_cache,
                 stats=self.kernel_stats,
             )
         _, j, impr = self._screened_best(i, loads).best()

@@ -148,32 +148,20 @@ def calc_best_transfer_reference(
 
 
 def calc_best_transfer(
-    inst: Instance,
-    R: np.ndarray,
-    i: int,
-    j: int,
-    *,
-    rt_full: np.ndarray | None = None,
+    inst: Instance, R: np.ndarray, i: int, j: int
 ) -> PairExchange:
     """Closed-form Algorithm 1 (see module docstring).
 
     Equivalent to :func:`calc_best_transfer_reference` up to float
-    round-off; property-tested against it.  ``rt_full`` may pass a
-    maintained contiguous copy of ``R.T`` — at fleet scale the two
-    strided column reads dominate the call, and the transposed rows are
-    cache-friendly.
+    round-off; property-tested against it.
     """
     if i == j:
         raise ValueError("pair exchange needs two distinct servers")
     s_i = float(inst.speeds[i])
     s_j = float(inst.speeds[j])
     c = inst.latency
-    if rt_full is not None:
-        old_i = rt_full[i].copy()
-        old_j = rt_full[j].copy()
-    else:
-        old_i = R[:, i].copy()
-        old_j = R[:, j].copy()
+    old_i = R[:, i].copy()
+    old_j = R[:, j].copy()
     pooled = old_i + old_j
     owners = np.flatnonzero(pooled > 0)
     if owners.size == 0:

@@ -28,7 +28,7 @@ Three mechanisms keep the loop cheap at fleet scale:
 * **Adaptive intervals.**  An agent whose proposals keep failing (no
   improving partner in view, REJECT, timeout, or a no-op exchange)
   backs off exponentially — its interval is multiplied by
-  ``backoff_factor`` per failure up to ``backoff_max`` — and snaps back
+  :data:`BACKOFF_FACTOR` per failure up to :data:`BACKOFF_MAX` — and snaps back
   to the base interval the moment a proposal is accepted or fresh
   information arrives.  A converged fleet therefore idles at a fraction
   of its peak proposal rate instead of re-deriving "nothing to do"
@@ -39,7 +39,7 @@ Three mechanisms keep the loop cheap at fleet scale:
   global allocation version bumped on every exchange and churn event),
   the agent skips the numpy evaluation outright.
 * **Partner-selection strategy.**  ``strategy="auto"`` uses the exact
-  batched evaluation (with static argsort/transpose caches) on small
+  batched evaluation (with static per-server caches) on small
   fleets and the O(m) screened pass beyond
   :data:`repro.core.distributed.EXACT_BUDGET` — at m = 2000 an exact
   proposal costs seconds, a screened one a millisecond.
@@ -71,6 +71,12 @@ __all__ = ["ExchangeAgents", "AgentStats"]
 _PROPOSING = "proposing"
 _ACCEPTED = "accepted"
 
+#: Back-off of a failing agent: its interval is multiplied by
+#: ``BACKOFF_FACTOR`` per futile attempt, up to ``BACKOFF_MAX`` times
+#: the base interval.
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 8.0
+
 
 @dataclass
 class AgentStats:
@@ -92,7 +98,10 @@ class AgentStats:
 
 
 class ExchangeAgents:
-    """One asynchronous Algorithm 2 agent per server."""
+    """One asynchronous Algorithm 2 agent per server: it acts once per
+    ``interval`` (jittered, stretched by its back-off) and proposes only
+    exchanges expected to improve ΣCi by more than ``min_improvement``,
+    choosing partners by ``strategy`` (see the module doc)."""
 
     def __init__(
         self,
@@ -109,8 +118,6 @@ class ExchangeAgents:
         min_improvement: float = 1e-9,
         strategy: str = "auto",
         screen_width: int = 16,
-        backoff_factor: float = 2.0,
-        backoff_max: float = 8.0,
         on_exchange: Callable[[PairExchange], None] | None = None,
         trace: list | None = None,
         obs=None,
@@ -118,8 +125,6 @@ class ExchangeAgents:
         m = state.inst.m
         if len(seeds) != m:
             raise ValueError("need one RNG seed per server")
-        if backoff_factor < 1.0 or backoff_max < 1.0:
-            raise ValueError("backoff factor and cap must be >= 1")
         if strategy not in ("exact", "screened", "auto"):
             raise ValueError(f"unknown strategy {strategy!r}")
         self.env = env
@@ -133,8 +138,6 @@ class ExchangeAgents:
         self.min_improvement = float(min_improvement)
         self.strategy = strategy
         self.screen_width = int(screen_width)
-        self.backoff_factor = float(backoff_factor)
-        self.backoff_max = float(backoff_max)
         self.on_exchange = on_exchange
         self.trace = trace
         self.rngs = [np.random.default_rng(s) for s in seeds]
@@ -178,18 +181,12 @@ class ExchangeAgents:
         # the last *futile* proposal evaluation, or None.
         self._state_version = 0
         self._futile: list[tuple[int, int] | None] = [None] * m
-        # Static caches for the exact batched evaluation, mirroring
-        # MinEOptimizer: the latency argsort depends only on the
-        # instance, the transposed R is maintained across exchanges.
-        h = max(1, self.owners.size)
-        self._use_exact = strategy == "exact" or (
-            strategy == "auto" and h * m <= EXACT_BUDGET
-        )
+        self._pick_strategy()
         # The transposed R is maintained across exchanges in both modes:
-        # the exact batch reads candidate rows from it, and the screened
-        # pass hands it to calc_best_transfer (cache-friendly rows
-        # instead of strided column reads — the dominant cost of a
-        # screened proposal at fleet scale).
+        # the exact batch and the screened pass's batch_best_transfers
+        # both gather candidate rows from it (cache-friendly rows instead
+        # of strided column reads — the dominant cost of a screened
+        # proposal at fleet scale).
         self._Rt = np.ascontiguousarray(state.R.T)
         # Both strategies read candidate latency rows from the transpose;
         # symmetric topologies (the common case) ARE their transpose, so
@@ -200,15 +197,19 @@ class ExchangeAgents:
         # Nearest-peer lists for the screening pass (latency-static, so
         # never invalidated within a run).
         self._screen_cache: dict[int, np.ndarray] = {}
-        if self._use_exact:
-            caches_ok = static_caches_enabled(m, h)
-            self._order_cache: dict[int, np.ndarray] | None = {} if caches_ok else None
-            self._static_cache: dict[int, tuple] | None = {} if caches_ok else None
-        else:
-            self._order_cache = None
-            self._static_cache = None
         for i in range(m):
             self._arm(i)
+
+    def _pick_strategy(self) -> None:
+        """Exact or screened proposals for the current owner set, plus
+        empty static caches for the exact batched evaluation (mirroring
+        MinEOptimizer) when they fit the memory budget."""
+        m = self.state.inst.m
+        h = max(1, self.owners.size)
+        self._use_exact = self.strategy == "exact" or (
+            self.strategy == "auto" and h * m <= EXACT_BUDGET
+        )
+        self._static_cache = {} if self._use_exact and static_caches_enabled(m, h) else None
 
     # ------------------------------------------------------------------
     def cancel(self, i: int) -> None:
@@ -229,36 +230,24 @@ class ExchangeAgents:
         owner-sliced static caches — and reset every back-off so the
         fleet re-tracks the new optimum at full proposal rate."""
         state = self.state
-        m = state.inst.m
         new_owners = np.flatnonzero(state.inst.loads > 0)
         owners_changed = not np.array_equal(new_owners, self.owners)
         self.owners = new_owners
         self._state_version += 1
         self._Rt = np.ascontiguousarray(state.R.T)
-        h = max(1, new_owners.size)
-        use_exact = self.strategy == "exact" or (
-            self.strategy == "auto" and h * m <= EXACT_BUDGET
-        )
-        if use_exact:
-            if owners_changed or self._order_cache is None:
-                # The cached argsorts and latency slices are taken over
-                # the owner set; a changed owner set invalidates them.
-                caches_ok = static_caches_enabled(m, h)
-                self._order_cache = {} if caches_ok else None
-                self._static_cache = {} if caches_ok else None
-        else:
-            self._order_cache = None
-            self._static_cache = None
-        self._use_exact = use_exact
-        self.backoff = [1.0] * m
+        if owners_changed:
+            # The strategy choice and the cached argsorts and latency
+            # slices are taken over the owner set.
+            self._pick_strategy()
+        self.backoff = [1.0] * state.inst.m
 
     def _record(self, *entry) -> None:
         if self.trace is not None:
             self.trace.append(entry)
 
     def _bump_backoff(self, i: int) -> None:
-        b = self.backoff[i] * self.backoff_factor
-        self.backoff[i] = b if b < self.backoff_max else self.backoff_max
+        b = self.backoff[i] * BACKOFF_FACTOR
+        self.backoff[i] = b if b < BACKOFF_MAX else BACKOFF_MAX
 
     def _shun_partner(self, i: int, j: int) -> None:
         """Escalate ``i``'s cooldown on partner ``j`` after a failed
@@ -305,7 +294,6 @@ class ExchangeAgents:
             owners=self.owners,
             strategy="exact" if self._use_exact else "screened",
             screen_width=self.screen_width,
-            order_cache=self._order_cache,
             rt_full=self._Rt,
             ct_full=self._Ct,
             static_cache=self._static_cache,

@@ -49,6 +49,9 @@ __all__ = [
 #: every other stream in the engine, keyed by the caller's seed).
 _FAILTRACE_ENTROPY = 0x9D17B0F3
 
+#: Mean downtime of a :class:`ChurnModel` restart, in agent rounds.
+CHURN_DOWNTIME_ROUNDS = 3.0
+
 
 @dataclass(frozen=True)
 class ChurnModel:
@@ -57,17 +60,14 @@ class ChurnModel:
     ``rate`` is the expected number of restarts per server per
     *agent-interval round* (the natural clock of the control plane, so a
     preset means the same thing on a 0.5 ms fat-tree and a 90 ms WAN);
-    ``downtime_rounds`` is the mean downtime in the same unit.
+    the mean downtime is :data:`CHURN_DOWNTIME_ROUNDS` in the same unit.
     """
 
     rate: float = 0.0
-    downtime_rounds: float = 2.0
 
     def __post_init__(self) -> None:
         if self.rate < 0:
             raise ValueError("churn rate must be non-negative")
-        if self.downtime_rounds <= 0:
-            raise ValueError("mean downtime must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +211,7 @@ def start_churn(
     if model.rate == 0.0:
         return
     mean_up = agent_interval / model.rate
-    mean_down = agent_interval * model.downtime_rounds
+    mean_down = agent_interval * CHURN_DOWNTIME_ROUNDS
     rngs = [np.random.default_rng(s) for s in seeds]
     if metrics is not None:
         c_fail = metrics.counter("churn.failures")

@@ -62,6 +62,19 @@ __all__ = [
 _LIVESIM_ENTROPY = 0x11FE5137
 
 
+#: Absolute improvement floor: the agents neither propose nor apply an
+#: exchange expected to improve ΣCi by this much or less.
+MIN_IMPROVEMENT = 1e-9
+#: Relative improvement floor: exchanges expected to improve ΣCi by
+#: less than ``MIN_IMPROVEMENT_REL · initial_cost / m`` are not
+#: proposed, so the *total* improvement a fleet can forgo is about
+#: ``MIN_IMPROVEMENT_REL`` of the initial cost regardless of fleet
+#: size — orders of magnitude below the paper's 2 % bound.  Keeps a
+#: converged fleet from grinding out float-dust exchanges forever
+#: (each perturbs views, defeating back-off).
+MIN_IMPROVEMENT_REL = 3e-4
+
+
 @dataclass(frozen=True)
 class LiveConfig:
     """Control-plane parameters of one live simulation.
@@ -83,6 +96,11 @@ class LiveConfig:
     :class:`repro.livesim.churn.ChurnModel`); ``arrival_rate_scale``
     scales the Poisson request traffic exactly as in
     :func:`repro.sim.runner.simulate_stream` (0 disables traffic).
+
+    Fixed parameters are module constants, not fields: the improvement
+    floors here, the back-off in :mod:`repro.livesim.agents`, the robust
+    merge's in :mod:`repro.livesim.gossip` and the mean churn downtime in
+    :mod:`repro.livesim.churn`.
     """
 
     gossip_interval: float | None = None
@@ -91,53 +109,22 @@ class LiveConfig:
     accept_timeout: float | None = None
     p_drop: float = 0.0
     churn_rate: float = 0.0
-    churn_downtime_rounds: float = 3.0
-    min_improvement: float = 1e-9
-    #: Relative improvement floor: exchanges expected to improve ΣCi by
-    #: less than ``min_improvement_rel · initial_cost / m`` are not
-    #: proposed, so the *total* improvement a fleet can forgo is about
-    #: ``min_improvement_rel`` of the initial cost regardless of fleet
-    #: size — at the default, orders of magnitude below the paper's 2 %
-    #: bound.  Keeps a converged fleet from grinding out float-dust
-    #: exchanges forever (each perturbs views, defeating back-off).
-    #: Set 0 to propose down to the absolute ``min_improvement``.
-    min_improvement_rel: float = 3e-4
     arrival_rate_scale: float = 0.0
     #: Gossip wire format: ``"full"`` ships whole tables, ``"delta"``
     #: ships version-vector diffs (O(changes) payloads, bit-identical
     #: merge results — see :mod:`repro.livesim.gossip`).
     gossip_mode: str = "full"
-    #: Adaptive gossip frequency: scale each server's interval by a
-    #: merge-delta EMA — between ``gossip_adapt_min`` × interval while
-    #: its view churns and ``gossip_adapt_max`` × interval once
-    #: converged (``gossip_adapt_alpha`` is the EMA weight).  Off by
-    #: default; an adaptive-off run is bit-identical to earlier
-    #: releases.  Deterministic per seed either way.
-    gossip_adaptive: bool = False
-    gossip_adapt_min: float = 0.5
-    gossip_adapt_max: float = 4.0
-    gossip_adapt_alpha: float = 0.3
     #: Partner-selection strategy of the agents ("auto" = exact on small
     #: fleets, O(m) screened beyond ``EXACT_BUDGET``) and the screened
     #: candidate count.
     agent_strategy: str = "auto"
     agent_screen_width: int = 16
-    #: Adaptive agent intervals: a failing agent's interval is multiplied
-    #: by ``backoff_factor`` per failure up to ``backoff_max`` and reset
-    #: on accept (or on fresh gossip/allocation information).
-    #: ``backoff_max=1`` disables the mechanism.
-    backoff_factor: float = 2.0
-    backoff_max: float = 8.0
     #: Gossip accept rule: ``"legacy"`` trusts every entry by version;
     #: ``"robust"`` adds quorum + trimmed-mean filtering, placement
     #: clamps, pair-sync observations and per-server suspicion scores
     #: (see :mod:`repro.livesim.gossip`).  Legacy runs are bit-identical
     #: to earlier releases.
     merge_mode: str = "legacy"
-    robust_quorum: int = 3
-    robust_trim: int = 1
-    robust_tolerance: float = 0.2
-    robust_observe_margin: int = 8
     #: Adversary plane (:class:`repro.byz.ByzantineModel`): ``None`` (or
     #: ``f = 0``) leaves the honest path untouched — the adversaries'
     #: RNG streams are entropy-separated, so honest traces never shift.
@@ -147,6 +134,14 @@ class LiveConfig:
     #: ``churn_rate`` process; both route through the same fail/rejoin
     #: path, so queue drops and owner re-submission couple identically.
     churn_trace: FailureTrace | None = None
+
+    def __post_init__(self) -> None:
+        # Width 0 would screen in every server (argpartition's [-0:] is the
+        # whole array); a negative rate would silently send no traffic.
+        if self.agent_screen_width < 1:
+            raise ValueError(f"agent_screen_width must be >= 1, got {self.agent_screen_width}")
+        if self.arrival_rate_scale < 0:
+            raise ValueError(f"arrival_rate_scale must be >= 0, got {self.arrival_rate_scale}")
 
     def resolve(self, inst: Instance) -> "LiveConfig":
         """A copy with every ``None`` interval filled from the latency
@@ -182,7 +177,7 @@ class LiveConfig:
 LIVE_PRESETS: dict[str, LiveConfig] = {
     "ideal": LiveConfig(),
     "lossy": LiveConfig(p_drop=0.10),
-    "churn": LiveConfig(p_drop=0.02, churn_rate=0.004, churn_downtime_rounds=3.0),
+    "churn": LiveConfig(p_drop=0.02, churn_rate=0.004),
 }
 
 
@@ -369,15 +364,7 @@ class LiveSimulation:
             gossip_par.spawn(m),
             interval=cfg.gossip_interval,
             mode=cfg.gossip_mode,
-            adaptive=cfg.gossip_adaptive,
-            adapt_min=cfg.gossip_adapt_min,
-            adapt_max=cfg.gossip_adapt_max,
-            adapt_alpha=cfg.gossip_adapt_alpha,
             merge_mode=cfg.merge_mode,
-            robust_quorum=cfg.robust_quorum,
-            robust_trim=cfg.robust_trim,
-            robust_tolerance=cfg.robust_tolerance,
-            observe_margin=cfg.robust_observe_margin,
             obs=self.obs,
         )
         initial_cost = self.state.total_cost()
@@ -392,22 +379,17 @@ class LiveSimulation:
             propose_timeout=cfg.propose_timeout,
             accept_timeout=cfg.accept_timeout,
             min_improvement=max(
-                cfg.min_improvement, cfg.min_improvement_rel * initial_cost / m
+                MIN_IMPROVEMENT, MIN_IMPROVEMENT_REL * initial_cost / m
             ),
             strategy=cfg.agent_strategy,
             screen_width=cfg.agent_screen_width,
-            backoff_factor=cfg.backoff_factor,
-            backoff_max=cfg.backoff_max,
             on_exchange=self._on_exchange,
             trace=self.trace,
             obs=self.obs,
         )
         start_churn(
             self.env,
-            ChurnModel(
-                rate=cfg.churn_rate,
-                downtime_rounds=cfg.churn_downtime_rounds,
-            ),
+            ChurnModel(rate=cfg.churn_rate),
             churn_par.spawn(m),
             agent_interval=cfg.agent_interval,
             on_fail=self._fail,
@@ -481,7 +463,6 @@ class LiveSimulation:
             reg.bind("agents", self.agents.stats)
             reg.gauge("sched.queue_depth", fn=lambda: self.env.queue_size)
             reg.gauge("livesim.cost", fn=lambda: self._running_cost)
-            reg.gauge("gossip.interval", fn=self.gossip.mean_interval)
             if self.gossip.suspicion is not None:
                 view = self.gossip.suspicion_view
                 reg.gauge("byz.suspicion.max", fn=lambda: float(view().max()))

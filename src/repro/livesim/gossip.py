@@ -88,16 +88,17 @@ accept rule with ideas from fault-tolerant approximate consensus
   value clamped to the bound).
 * **Second-hand claims** (relays) go through a per-(receiver, origin)
   claim buffer keyed by reporter.  A value is accepted only once
-  ``robust_quorum`` distinct reporters carry versions newer than the
-  accepted one; the claims are sorted by value, the ``robust_trim``
+  :data:`ROBUST_QUORUM` distinct reporters carry versions newer than the
+  accepted one; the claims are sorted by value, the :data:`ROBUST_TRIM`
   most extreme are discarded from each end, and the survivors must
-  agree within ``robust_tolerance`` (relative).  The accepted value is
+  agree within :data:`ROBUST_TOLERANCE` (relative).  The accepted value is
   the survivors' mean and the accepted version their *minimum* — a
   fabricated sky-high version can therefore never ratchet the accepted
   version and lock honest claims out.
 * **Pair-sync observations**: a completed exchange handshake
   synchronizes the pair on the true state, so the agents feed the
-  partner's exact load back via :meth:`observe_peer` — the defense that
+  partner's exact load back via :meth:`observe_peer`, recorded
+  :data:`ROBUST_OBSERVE_MARGIN` versions ahead — the defense that
   no quorum can provide against an origin lying about *itself* (every
   relay of a self-claim descends from the same lie).
 * **Suspicion**: every detected lie (clamped self-claim, trimmed-out
@@ -140,6 +141,15 @@ _ENTRY_BYTES_FULL = 24
 _ENTRY_BYTES_DELTA = 32
 _HEADER_BYTES = 24
 
+#: The robust merge's fixed parameters (see the module doc).  Quorum and
+#: trim are one fault bound, f = 1, acting on 2f + 1 reports; an
+#: observation also outranks relayed quorums for ROBUST_OBSERVE_MARGIN
+#: gossip intervals.
+ROBUST_QUORUM = 3
+ROBUST_TRIM = 1
+ROBUST_TOLERANCE = 0.2
+ROBUST_OBSERVE_MARGIN = 8
+
 
 @dataclass
 class GossipStats:
@@ -171,7 +181,9 @@ class AsyncGossip:
     follow every later merge (copy one to keep a snapshot); mutate state
     only through :meth:`publish` and the message handlers.  ``mode``
     selects the wire format (``"full"`` tables or ``"delta"``
-    version-vector diffs).
+    version-vector diffs) and ``merge_mode`` the accept rule
+    (``"legacy"`` or ``"robust"``).  Every server gossips once per
+    ``interval``, jittered uniformly over [0.5, 1.5) of it.
     """
 
     def __init__(
@@ -185,15 +197,7 @@ class AsyncGossip:
         *,
         interval: float,
         mode: str = "full",
-        adaptive: bool = False,
-        adapt_min: float = 0.5,
-        adapt_max: float = 4.0,
-        adapt_alpha: float = 0.3,
         merge_mode: str = "legacy",
-        robust_quorum: int = 3,
-        robust_trim: int = 1,
-        robust_tolerance: float = 0.2,
-        observe_margin: int = 8,
         obs=None,
     ):
         m = inst.m
@@ -205,29 +209,12 @@ class AsyncGossip:
             raise ValueError(
                 f"merge mode must be one of {MERGE_MODES}, got {merge_mode!r}"
             )
-        if merge_mode == "robust":
-            if robust_trim < 0:
-                raise ValueError("robust_trim must be >= 0")
-            if robust_quorum < max(2, 2 * robust_trim + 1):
-                raise ValueError(
-                    "robust_quorum must be >= max(2, 2*robust_trim + 1) so the "
-                    "trimmed survivor set is never empty"
-                )
-            if robust_quorum > m - 2:
-                raise ValueError(
-                    f"robust_quorum={robust_quorum} needs at least "
-                    f"{robust_quorum + 2} servers (got m={m}): a quorum counts "
-                    "distinct reporters other than the origin and the receiver"
-                )
-            if robust_tolerance <= 0:
-                raise ValueError("robust_tolerance must be positive")
-            if observe_margin < 1:
-                raise ValueError("observe_margin must be >= 1")
-        if adaptive:
-            if not (0.0 < adapt_min <= adapt_max):
-                raise ValueError("need 0 < adapt_min <= adapt_max")
-            if not (0.0 < adapt_alpha <= 1.0):
-                raise ValueError("adapt_alpha must be in (0, 1]")
+        if merge_mode == "robust" and m < ROBUST_QUORUM + 2:
+            raise ValueError(
+                f'merge_mode="robust" needs at least {ROBUST_QUORUM + 2} '
+                f"servers (got m={m}): a quorum counts {ROBUST_QUORUM} distinct "
+                "reporters other than the origin and the receiver"
+            )
         self.env = env
         self.net = net
         self.inst = inst
@@ -236,21 +223,6 @@ class AsyncGossip:
         self.interval = float(interval)
         self.mode = mode
         self.merge_mode = merge_mode
-        self.robust_quorum = int(robust_quorum)
-        self.robust_trim = int(robust_trim)
-        self.robust_tolerance = float(robust_tolerance)
-        self.observe_margin = int(observe_margin)
-        # Adaptive frequency: per-server interval scale driven by a
-        # merge-delta EMA (see _tick).  Scale 1.0 == the fixed interval;
-        # with ``adaptive`` off nothing below is ever touched, so the
-        # event sequence is bit-identical to a fixed-interval run.
-        self.adaptive = bool(adaptive)
-        self.adapt_min = float(adapt_min)
-        self.adapt_max = float(adapt_max)
-        self.adapt_alpha = float(adapt_alpha)
-        self._adapt_scale = [1.0] * m
-        self._adapt_ema = [1.0] * m
-        self._adapt_last = [0] * m
         self.rngs = [np.random.default_rng(s) for s in seeds]
         self.stats = GossipStats()
         # Tracing hook (repro.obs): None keeps every handler on the
@@ -332,7 +304,7 @@ class AsyncGossip:
             self._observed: list[dict[int, tuple[float, float]]] = [
                 {} for _ in range(m)
             ]
-            self._obs_horizon = float(observe_margin) * self.interval
+            self._obs_horizon = float(ROBUST_OBSERVE_MARGIN) * self.interval
             # Absolute floor of the relative agreement band, so claims
             # about a near-zero load still have a workable tolerance.
             self._tol_floor = 0.05 * float(np.mean(state.loads)) + 1e-12
@@ -416,15 +388,6 @@ class AsyncGossip:
         for i in range(inst.m):
             if self.alive[i]:
                 self.publish(i)
-        if self.adaptive:
-            # New demand means every view is about to churn again: snap
-            # the EMAs back to the neutral operating point so the fleet
-            # re-spreads the new loads at full rate instead of waking up
-            # from a stretched converged-state interval.
-            m = inst.m
-            self._adapt_ema = [1.0] * m
-            self._adapt_scale = [1.0] * m
-            self._adapt_last = list(self.update_counts)
 
     # ------------------------------------------------------------------
     # Publish / packet / merge — full wire format
@@ -534,7 +497,7 @@ class AsyncGossip:
                 self._mtime[i, k] = t
 
     def _band(self, ref: float) -> float:
-        return self.robust_tolerance * max(abs(ref), self._tol_floor)
+        return ROBUST_TOLERANCE * max(abs(ref), self._tol_floor)
 
     def _blame(self, k: int, weight: float) -> None:
         """Accrue decayed, magnitude-weighted suspicion on server ``k``.
@@ -586,8 +549,8 @@ class AsyncGossip:
         payload, so no entry is read again after this merge wrote it."""
         st = self.stats
         claims_dst = self._claims[dst]
-        quorum = self.robust_quorum
-        trim = self.robust_trim
+        quorum = ROBUST_QUORUM
+        trim = ROBUST_TRIM
         accepted: list[int] = []
         changed = False
         for pos, k in enumerate(ks):
@@ -670,7 +633,7 @@ class AsyncGossip:
         """Pair-sync observation: the exchange handshake synchronized
         ``d`` and ``k`` on the true state, so ``d`` now knows ``k``'s
         exact load — record it first-hand, well ahead in version space
-        (``observe_margin``), so a lying origin needs that many fresh
+        (:data:`ROBUST_OBSERVE_MARGIN`), so a lying origin needs that many fresh
         self-publishes before its next claim can displace the truth.
         Only meaningful (and only called) under ``merge_mode="robust"``.
         """
@@ -683,7 +646,7 @@ class AsyncGossip:
             # The view d acted on contradicts ground truth: the origin
             # owns its self-claims.
             self._blame(k, abs(seen - truth) / band)
-        ver = float(self._vers[d][k]) + self.observe_margin
+        ver = float(self._vers[d][k]) + ROBUST_OBSERVE_MARGIN
         self._observed[d][k] = (self.env.now, truth)
         changed = self._entry_store(d, k, truth, ver, self.env.now)
         if changed:
@@ -749,48 +712,11 @@ class AsyncGossip:
     def _arm(self, i: int) -> None:
         # Jittered interval: desynchronizes the population so gossip
         # traffic is spread over time instead of thundering in herds.
-        # The adaptive scale multiplies the whole window, so jitter keeps
-        # its relative spread at every frequency.
         self.env.call_in(
-            self.interval * (0.5 + self._jitter[i].next()) * self._adapt_scale[i],
-            self._tick,
-            i,
+            self.interval * (0.5 + self._jitter[i].next()), self._tick, i
         )
 
-    def _adapt(self, i: int) -> None:
-        """Re-derive server ``i``'s interval scale from how much its view
-        changed since its last cycle (an EMA of per-cycle merge deltas):
-        a churning view shrinks the interval toward ``adapt_min`` × base,
-        a converged one stretches it toward ``adapt_max`` × base.  Driven
-        entirely by ``update_counts`` — no extra RNG draws — so adaptive
-        runs stay deterministic per seed."""
-        count = self.update_counts[i]
-        delta = count - self._adapt_last[i]
-        self._adapt_last[i] = count
-        a = self.adapt_alpha
-        ema = a * delta + (1.0 - a) * self._adapt_ema[i]
-        self._adapt_ema[i] = ema
-        # ema = 0 (nothing changing) → adapt_max; each 0.5 changes/cycle
-        # halves the scale; ema = 1 lands exactly on 1.0 when
-        # adapt_max = 4 (the default neutral operating point).
-        scale = self.adapt_max * 0.5 ** (ema / 0.5)
-        if scale < self.adapt_min:
-            scale = self.adapt_min
-        elif scale > self.adapt_max:
-            scale = self.adapt_max
-        self._adapt_scale[i] = scale
-
-    def mean_interval(self) -> float:
-        """Mean effective gossip interval across live servers (the
-        ``gossip.interval`` observability gauge)."""
-        live = [s for s, a in zip(self._adapt_scale, self.alive) if a]
-        if not live:
-            return float("nan")
-        return self.interval * float(np.mean(live))
-
     def _tick(self, i: int) -> None:
-        if self.adaptive:
-            self._adapt(i)
         draw = self._peer_draw[i]
         if draw is not None and self.alive[i]:
             self.publish(i)

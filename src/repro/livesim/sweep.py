@@ -162,12 +162,15 @@ def live_sweep(
     The (scenario, size, seed) grid is
     :func:`repro.workloads.scenario_grid`'s: names and :class:`Scenario`
     objects mix, ``sizes=None`` uses each scenario's default ``m`` and an
-    empty axis raises ``ValueError``.  Returns one metrics row per
-    (scenario, size, seed, mode) cell, in grid order; execution
-    goes through :class:`repro.engine.SweepEngine`, so any backend and
-    any JSONL store work exactly as they do for
+    empty axis (``modes`` included) raises ``ValueError``.  Returns one
+    metrics row per (scenario, size, seed, mode) cell, in grid order;
+    execution goes through :class:`repro.engine.SweepEngine`, so any
+    backend and any JSONL store work exactly as they do for
     :class:`repro.workloads.ScenarioRunner`.
     """
+    modes = tuple(modes)
+    if not modes:
+        raise ValueError("modes is empty: a sweep needs at least one mode")
     cells = [
         LiveCell(
             scenario=sc,

@@ -140,11 +140,16 @@ def tracking_sweep(
     The (scenario, size, seed) grid is
     :func:`repro.workloads.scenario_grid`'s: names and :class:`Scenario`
     objects mix, ``sizes=None`` uses each scenario's default ``m`` and an
-    empty axis raises ``ValueError``.  Returns one metrics row per cell
-    in grid order; execution, sharding and stores go
-    through :class:`repro.engine.SweepEngine` exactly as every other
-    sweep in the repo (out-of-shard pending cells come back ``None``).
+    empty axis (``traces`` and ``solvers`` included) raises
+    ``ValueError``.  Returns one metrics row per cell in grid order;
+    execution, sharding and stores go through
+    :class:`repro.engine.SweepEngine` exactly as every other sweep in
+    the repo (out-of-shard pending cells come back ``None``).
     """
+    traces, solvers = tuple(traces), tuple(solvers)
+    for arg, axis in (("traces", traces), ("solvers", solvers)):
+        if not axis:
+            raise ValueError(f"{arg} is empty: a sweep needs at least one {arg[:-1]}")
     cells = [
         TrackingCell(
             scenario=sc,

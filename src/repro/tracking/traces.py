@@ -41,6 +41,8 @@ from ..workloads.loadmodels import (
     ExponentialLoads,
     FlashCrowdLoads,
     LoadModel,
+    check_diurnal,
+    diurnal_loads,
     positive_loads,
 )
 
@@ -234,21 +236,14 @@ class DiurnalSweepTrace(_EpochGrid):
         self._check()
         if self.base < 0:
             raise ValueError("base load must be non-negative")
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ValueError("amplitude must be in [0, 1) to keep loads positive")
-        if self.regions < 1:
-            raise ValueError("need at least one region")
+        check_diurnal(self.amplitude, self.regions)
 
     def epochs(self, m, rng):
         region = rng.integers(0, self.regions, size=m)
-        phase = region / self.regions
-        out = []
-        for k, t in enumerate(self._times()):
-            day = k / self.n_epochs
-            level = 1.0 + self.amplitude * np.sin(2.0 * np.pi * (day + phase))
-            noise = rng.lognormal(0.0, self.noise_sigma, size=m)
-            out.append((t, positive_loads(self.base * level * noise)))
-        return out
+        return [
+            (t, diurnal_loads(self, k / self.n_epochs, region, rng))
+            for k, t in enumerate(self._times())
+        ]
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,6 +32,8 @@ __all__ = [
     "ParetoLoads",
     "LognormalLoads",
     "CorrelatedSurgeLoads",
+    "check_diurnal",
+    "diurnal_loads",
     "positive_loads",
     "scale_to_average",
 ]
@@ -55,6 +57,29 @@ def positive_loads(loads: np.ndarray) -> np.ndarray:
     """``loads`` as float64, floored at a tiny positive load — the one
     floor of every load model snapshot and trace epoch."""
     return np.maximum(np.asarray(loads, dtype=np.float64), _MIN_LOAD)
+
+
+def check_diurnal(amplitude: float, regions: int) -> None:
+    """The diurnal sine's parameter checks, shared by
+    :class:`DiurnalLoads` and :class:`repro.tracking.DiurnalSweepTrace`."""
+    if not 0.0 <= amplitude < 1.0:
+        raise ValueError("amplitude must be in [0, 1) to keep loads positive")
+    if regions < 1:
+        raise ValueError("need at least one region")
+
+
+def diurnal_loads(
+    model, t: float, region: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """One diurnal snapshot at day-time ``t`` (in periods):
+    ``base · (1 + amplitude · sin(2π(t + region/regions))) · noise`` with
+    log-normal ``noise`` of ``noise_sigma`` drawn from ``rng``, for
+    organizations in time zones ``region``.  ``model`` supplies
+    ``base``, ``amplitude``, ``regions`` and ``noise_sigma``."""
+    phase = region / model.regions
+    level = 1.0 + model.amplitude * np.sin(2.0 * np.pi * (t + phase))
+    noise = rng.lognormal(0.0, model.noise_sigma, size=region.size)
+    return positive_loads(model.base * level * noise)
 
 
 @runtime_checkable
@@ -105,18 +130,11 @@ class DiurnalLoads:
     noise_sigma: float = 0.2
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ValueError("amplitude must be in [0, 1) to keep loads positive")
-        if self.regions < 1:
-            raise ValueError("need at least one region")
+        check_diurnal(self.amplitude, self.regions)
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
         t = float(rng.uniform())
-        region = rng.integers(0, self.regions, size=m)
-        phase = region / self.regions
-        level = 1.0 + self.amplitude * np.sin(2.0 * np.pi * (t + phase))
-        noise = rng.lognormal(0.0, self.noise_sigma, size=m)
-        return positive_loads(self.base * level * noise)
+        return diurnal_loads(self, t, rng.integers(0, self.regions, size=m), rng)
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,16 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="f <= m"):
             LiveSimulation(inst, config=too_many, seed=0)
 
+    def test_robust_merge_needs_five_servers(self):
+        """A quorum of 3 reporters other than the origin and the
+        receiver needs m >= 5; the error names the merge mode."""
+        robust = LiveConfig(merge_mode="robust")
+        small = cached_instance(get_scenario("paper-planetlab"), 4, 0)
+        with pytest.raises(ValueError, match='merge_mode="robust".*m=4'):
+            LiveSimulation(small, config=robust, seed=0)
+        five = cached_instance(get_scenario("paper-planetlab"), 5, 0)
+        LiveSimulation(five, config=robust, seed=0)
+
 
 class TestSelectionDeterminism:
     def test_same_seed_same_servers(self):

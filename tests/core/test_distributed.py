@@ -126,6 +126,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             MinEOptimizer(AllocationState.initial(inst), strategy="bogus")
 
+    def test_zero_screen_width_rejected(self, rng):
+        inst = make_random_instance(4, rng)
+        with pytest.raises(ValueError, match="screen_width"):
+            MinEOptimizer(AllocationState.initial(inst), screen_width=0)
+
     def test_peak_distribution_spreads_load(self, rng):
         """Peak load on one server gets distributed across the network."""
         import repro

@@ -1,41 +1,66 @@
-"""Adaptive gossip frequency: deterministic, neutral-safe, and useful.
+"""Gossip runs at one fixed, jittered interval.
 
-The adaptive mechanism scales each server's gossip interval by a
-merge-delta EMA (``repro.livesim.gossip.AsyncGossip._adapt``).  It must
+Adaptive gossip frequency — a per-server merge-delta EMA that stretched
+a converged server's gossip interval and shrank a churning one's — was
+removed: on the fleets it was built for it processed more events, took
+longer and held more memory than the fixed interval.  These tests keep
+their names and check the fixed-interval cycle that replaced it:
 
-* change **nothing** when off: ``gossip_adaptive=False`` pins every
-  scale at 1.0 and skips the EMA update entirely, so the event sequence
-  is bit-identical to releases that predate the knob (the PR-6 trace
-  reproduction guarantee) — asserted here by running the neutral
-  adaptive configuration (``adapt_min == adapt_max == 1``), whose only
-  difference from "off" is that the new code path executes, on every
-  registered scenario preset;
-* stay a pure function of (instance, config, seed) when on — identical
-  event traces, allocations and byte-identical trace JSONL across
-  same-seed runs, because it draws no extra randomness;
-* actually adapt: a converged fleet's mean effective interval stretches
-  above the base interval.
+* every server re-arms its gossip tick within [0.5, 1.5) of
+  ``gossip_interval`` on every preset, converged or not, so a fleet
+  gossips at one rate for the whole run;
+* runs stay pure functions of (instance, config, seed) — identical
+  event traces, allocations and trace JSONL across same-seed runs;
+* a demand shift republishes every live server's own entry at once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import numpy as np
 
 from repro import obs
-from repro.livesim import LiveConfig, LiveSimulation, get_live_preset
+from repro.livesim import AsyncGossip, LiveConfig, LiveSimulation, get_live_preset
 from repro.workloads import PRESETS, cached_instance, get_scenario
 
-
-def _adaptive(cfg: LiveConfig, **over) -> LiveConfig:
-    return dataclasses.replace(cfg, gossip_adaptive=True, **over)
+#: Relative float slack on the jitter window: tick times are sums of
+#: delays, so a recorded gap can differ from its delay by a few ulps.
+_EPS = 1e-9
 
 
 def _run(inst, cfg, seed, rounds=40):
     sim = LiveSimulation(inst, config=cfg, seed=seed)
     rep = sim.run(rounds=rounds)
     return sim, rep
+
+
+def _record_ticks(sim) -> dict[int, list[float]]:
+    """Record ``sim``'s gossip tick times per server: ``_arm`` schedules
+    ``self._tick``, so an instance attribute catches every tick after
+    each server's already scheduled next one."""
+    ticks: dict[int, list[float]] = {}
+    tick = sim.gossip._tick
+
+    def recording_tick(i):
+        ticks.setdefault(i, []).append(sim.env.now)
+        tick(i)
+
+    sim.gossip._tick = recording_tick
+    return ticks
+
+
+def _assert_fixed_window(sim, ticks, label=""):
+    """Every gap between a server's consecutive ticks lies in the fixed
+    jitter window [0.5, 1.5) × ``gossip_interval``."""
+    interval = sim.config.gossip_interval
+    assert len(ticks) == sim.inst.m, f"{label}: a server stopped gossiping"
+    for i, times in ticks.items():
+        gaps = np.diff(times)
+        assert gaps.size > 0, f"{label}: server {i} ticked once"
+        assert gaps.min() >= 0.5 * interval * (1 - _EPS), (label, i, gaps.min())
+        assert gaps.max() < 1.5 * interval * (1 + _EPS), (label, i, gaps.max())
 
 
 def _assert_same_run(sim_a, rep_a, sim_b, rep_b, label=""):
@@ -53,28 +78,32 @@ def _assert_same_run(sim_a, rep_a, sim_b, rep_b, label=""):
 
 class TestOffIsLegacy:
     def test_neutral_adaptive_equals_off_on_all_presets(self):
-        """``adapt_min = adapt_max = 1`` clamps every scale to 1.0, so
-        the run must be indistinguishable from adaptive-off — proving
-        the off path (scale pinned at 1.0, no EMA) reproduces the
-        pre-knob event sequence on every registered preset."""
-        cfg_off = get_live_preset("lossy")
-        cfg_neutral = _adaptive(cfg_off, gossip_adapt_min=1.0, gossip_adapt_max=1.0)
+        """On every scenario preset each server's gossip ticks stay in
+        the fixed jitter window for the whole run."""
+        cfg = get_live_preset("lossy")
         for sc in PRESETS:
             inst = cached_instance(sc, 12, 0)
-            sim_a, rep_a = _run(inst, cfg_off, seed=5)
-            sim_b, rep_b = _run(inst, cfg_neutral, seed=5)
-            _assert_same_run(sim_a, rep_a, sim_b, rep_b, sc.name)
+            sim = LiveSimulation(inst, config=cfg, seed=5)
+            ticks = _record_ticks(sim)
+            sim.run(rounds=40)
+            _assert_fixed_window(sim, ticks, sc.name)
 
     def test_off_run_never_touches_scales(self):
+        """The interval is the resolved config's, before and after a
+        run, and no frequency knob is left on the config or the layer."""
         inst = cached_instance(get_scenario("paper-planetlab"), 12, 0)
-        sim, _ = _run(inst, get_live_preset("ideal"), seed=3)
-        assert sim.gossip._adapt_scale == [1.0] * inst.m
-        assert sim.gossip.mean_interval() == sim.config.gossip_interval
+        sim = LiveSimulation(inst, config=get_live_preset("ideal"), seed=3)
+        assert sim.gossip.interval == sim.config.gossip_interval
+        sim.run(rounds=40)
+        assert sim.gossip.interval == sim.config.gossip_interval
+        knobs = [f.name for f in dataclasses.fields(LiveConfig)]
+        knobs += list(inspect.signature(AsyncGossip).parameters)
+        assert not [k for k in knobs if "adapt" in k]
 
 
 class TestAdaptiveDeterminism:
     def test_same_seed_identical_on_all_presets(self):
-        cfg = _adaptive(get_live_preset("lossy"))
+        cfg = get_live_preset("lossy")
         for sc in PRESETS:
             inst = cached_instance(sc, 12, 0)
             sim_a, rep_a = _run(inst, cfg, seed=11)
@@ -82,8 +111,10 @@ class TestAdaptiveDeterminism:
             _assert_same_run(sim_a, rep_a, sim_b, rep_b, sc.name)
 
     def test_trace_jsonl_byte_identical(self):
+        """Byte-identical trace JSONL on the churning preset, whose
+        trace carries failures and rejoins too."""
         inst = cached_instance(get_scenario("paper-planetlab"), 12, 0)
-        cfg = _adaptive(get_live_preset("lossy"))
+        cfg = get_live_preset("churn")
 
         def trace_bytes(seed):
             o = obs.Observability(trace=True)
@@ -99,69 +130,77 @@ class TestAdaptiveDeterminism:
 
     def test_adaptive_with_churn_identical(self):
         inst = cached_instance(get_scenario("paper-planetlab"), 16, 0)
-        cfg = _adaptive(get_live_preset("churn"))
+        cfg = get_live_preset("churn")
         sim_a, rep_a = _run(inst, cfg, seed=2, rounds=60)
         sim_b, rep_b = _run(inst, cfg, seed=2, rounds=60)
         _assert_same_run(sim_a, rep_a, sim_b, rep_b, "churn")
         assert rep_a.failures == rep_b.failures
 
     def test_split_run_matches_long_run(self):
+        """A split churning run replays one long run: down servers keep
+        their gossip cycle armed across the run boundary."""
         inst = cached_instance(get_scenario("paper-homogeneous"), 10, 0)
-        cfg = _adaptive(get_live_preset("lossy"))
+        cfg = get_live_preset("churn")
         sim_long = LiveSimulation(inst, config=cfg, seed=4)
         rep_long = sim_long.run(rounds=60)
         sim_split = LiveSimulation(inst, config=cfg, seed=4)
         sim_split.run(rounds=30)
         rep_split = sim_split.run(rounds=30)
         assert rep_long.trace == rep_split.trace
+        assert rep_long.gossip == rep_split.gossip
         np.testing.assert_array_equal(sim_long.state.R, sim_split.state.R)
 
 
 class TestAdaptationBehavior:
     def test_converged_fleet_stretches_interval(self):
-        """Once the fleet converges nothing merges with new values, the
-        EMAs decay toward zero, and the mean effective interval climbs
-        above the base interval (toward ``adapt_max`` × base)."""
+        """A converged fleet keeps gossiping at the base rate: the second
+        half of a run pushes as often as the first, about once per server
+        per gossip interval."""
         inst = cached_instance(get_scenario("paper-planetlab"), 12, 0)
-        cfg = _adaptive(get_live_preset("ideal"))
-        sim, rep = _run(inst, cfg, seed=0, rounds=120)
-        base = sim.config.gossip_interval
-        assert sim.gossip.mean_interval() > 1.5 * base
-        assert max(sim.gossip._adapt_scale) <= cfg.gossip_adapt_max
-        assert min(sim.gossip._adapt_scale) >= cfg.gossip_adapt_min
+        sim = LiveSimulation(inst, config=get_live_preset("ideal"), seed=0)
+        first = sim.run(rounds=60).gossip.pushes
+        ticks = _record_ticks(sim)
+        total = sim.run(rounds=60).gossip.pushes
+        _assert_fixed_window(sim, ticks, "converged")
+        expected = inst.m * 60 * sim.config.agent_interval / sim.config.gossip_interval
+        assert abs(first - expected) <= 0.05 * expected
+        assert abs((total - first) - expected) <= 0.05 * expected
 
     def test_still_converges(self):
-        """Adaptive scheduling must not break convergence to the 2 %
-        bound (gossip slows only where views stopped changing)."""
+        """The fixed-interval plane converges to the 2 % bound."""
         from repro.workloads.cache import cached_optimum
 
         sc = get_scenario("paper-planetlab")
         inst = cached_instance(sc, 12, 0)
         _, opt_cost, _, _ = cached_optimum(sc, 12, 0)
-        cfg = _adaptive(get_live_preset("ideal"))
-        sim, rep = _run(inst, cfg, seed=1, rounds=120)
+        sim, rep = _run(inst, get_live_preset("ideal"), seed=1, rounds=120)
         err = (sim.state.total_cost() - opt_cost) / opt_cost
         assert err <= 0.02
 
     def test_interval_gauge_exposed(self):
+        """The metrics snapshot reads the gossip counters live; with one
+        fixed interval there is no ``gossip.interval`` gauge."""
         inst = cached_instance(get_scenario("paper-planetlab"), 12, 0)
-        cfg = _adaptive(get_live_preset("ideal"))
         o = obs.Observability()
-        sim = LiveSimulation(inst, config=cfg, seed=0, obs=o)
+        sim = LiveSimulation(inst, config=get_live_preset("ideal"), seed=0, obs=o)
         sim.run(rounds=30)
-        snap = o.metrics.snapshot()
-        assert "gossip.interval" in snap["metrics"]
-        assert snap["metrics"]["gossip.interval"] > 0
+        metrics = o.metrics.snapshot()["metrics"]
+        assert "gossip.interval" not in metrics
+        assert metrics["gossip.pushes"] == sim.gossip.stats.pushes > 0
+        assert metrics["gossip.merges"] == sim.gossip.stats.merges > 0
 
     def test_demand_refresh_resets_adaptation(self):
-        """A demand shift snaps the EMAs back to the neutral operating
-        point so the fleet re-spreads new loads at full rate."""
+        """A demand shift republishes every live server's own entry with
+        its new true load, and the cycle keeps its fixed window."""
         inst = cached_instance(get_scenario("paper-planetlab"), 12, 0)
-        cfg = _adaptive(get_live_preset("ideal"))
-        sim, _ = _run(inst, cfg, seed=0, rounds=120)
-        assert sim.gossip.mean_interval() > sim.config.gossip_interval
+        sim, _ = _run(inst, get_live_preset("ideal"), seed=0, rounds=60)
+        versions = np.diag(sim.gossip.versions).copy()
+        publishes = sim.gossip.stats.publishes
         rng = np.random.default_rng(0)
-        new_loads = inst.loads * rng.uniform(0.5, 2.0, size=inst.m)
-        sim.apply_demand(new_loads)
-        assert sim.gossip._adapt_scale == [1.0] * inst.m
-        assert sim.gossip.mean_interval() == sim.config.gossip_interval
+        sim.apply_demand(inst.loads * rng.uniform(0.5, 2.0, size=inst.m))
+        assert sim.gossip.stats.publishes == publishes + inst.m
+        np.testing.assert_array_equal(np.diag(sim.gossip.versions), versions + 1)
+        np.testing.assert_array_equal(np.diag(sim.gossip.values), sim.state.loads)
+        ticks = _record_ticks(sim)
+        sim.run(rounds=20)
+        _assert_fixed_window(sim, ticks, "after demand shift")

@@ -213,6 +213,26 @@ def test_live_sweep_rejects_empty_axis(scenarios, sizes, seeds, axis):
         live_sweep(scenarios, sizes=sizes, seeds=seeds)
 
 
+def test_live_sweep_rejects_empty_modes():
+    with pytest.raises(ValueError, match="modes is empty"):
+        live_sweep(["paper-homogeneous"], sizes=[8], modes=())
+
+
+def test_config_rejects_zero_screen_width():
+    """Width 0 would screen in every server (``argpartition``'s
+    ``[-0:]`` is the whole array), so it fails at construction."""
+    with pytest.raises(ValueError, match="agent_screen_width"):
+        LiveConfig(agent_screen_width=0)
+    assert LiveConfig(agent_screen_width=1).agent_screen_width == 1
+
+
+def test_config_rejects_negative_arrival_rate():
+    """A negative rate would silently run with no traffic at all."""
+    with pytest.raises(ValueError, match="arrival_rate_scale"):
+        LiveConfig(arrival_rate_scale=-0.01)
+    assert LiveConfig(arrival_rate_scale=0.0).arrival_rate_scale == 0.0
+
+
 def test_live_cell_validates_mode_and_preset():
     sc = get_scenario("paper-homogeneous")
     with pytest.raises(ValueError):

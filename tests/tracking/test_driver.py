@@ -193,6 +193,14 @@ class TestTrackingSweep:
         with pytest.raises(ValueError, match=f"{axis} is empty"):
             tracking_sweep(scenarios, sizes=sizes, seeds=seeds)
 
+    def test_empty_traces_rejected(self):
+        with pytest.raises(ValueError, match="traces is empty"):
+            tracking_sweep(["paper-planetlab"], sizes=[8], traces=())
+
+    def test_empty_solvers_rejected(self):
+        with pytest.raises(ValueError, match="solvers is empty"):
+            tracking_sweep(["paper-planetlab"], sizes=[8], solvers=())
+
     def test_sharded_union_covers_grid(self, tmp_path):
         from repro.engine import JsonlStore
 
