@@ -159,7 +159,10 @@ def batch_exchange_stats(
     the static latencies, so :class:`MinEOptimizer` and the event-driven
     agents reuse them across calls, which roughly halves the per-call
     numpy work.  ``compute_moved=False`` skips the transfer-volume
-    output (partner selection only needs ``impr``).
+    output (partner selection only needs ``impr``).  A cached sort is the
+    unstable one of partner selection, so ``moved`` matches
+    :func:`~repro.core.transfer.calc_best_transfer` on tied latency
+    differences only when computed without ``static_cache``.
     """
     s = inst.speeds
     c = inst.latency
@@ -211,7 +214,11 @@ def batch_exchange_stats(
             D[np.isnan(D)] = np.inf
         else:
             D = Ct - c_owners_i[None, :]  # d_k per candidate row
-        order = np.argsort(D, axis=1)
+        # Tied differences reorder owners of equal cost: the improvement is
+        # the same either way, the split of the transfer among them is not.
+        # ``moved`` therefore sorts stably, like calc_best_transfer; partner
+        # selection keeps the default sort, about 4x cheaper at m = 200.
+        order = np.argsort(D, axis=1, kind="stable" if compute_moved else None)
         if static_cache is not None:
             order = order.astype(np.int32, copy=False)  # halves the cache
         d_s = D[rows_idx, order]

@@ -12,7 +12,9 @@ provides three solvers of increasing practicality:
   matrix ``R`` with per-row Euclidean projection onto the scaled simplex.
 * :func:`solve_coordinate_descent` — cyclic exact block minimization; each
   row update is a closed-form water-fill on the marginal
-  ``a_j = c_ij + l_j^{-i}/s_j``.  This is the fastest and serves as the
+  ``a_j = c_ij + l_j^{-i}/s_j``, which sorts only the destinations that
+  can be active (an optimal row uses few servers), and writes the row and
+  the load vector in place.  This is the fastest and serves as the
   reference optimum for the experiments (the paper similarly approximates
   the optimum with its distributed algorithm).
 
@@ -150,16 +152,14 @@ def solve_coordinate_descent(
     global optimum (Tseng 2001).
     """
     st = state.copy() if state is not None else AllocationState.initial(inst)
-    n = inst.loads
     s = inst.speeds
     c = inst.latency
-    owners = np.flatnonzero(n > 0)
+    rows = [(i, float(n_i)) for i, n_i in enumerate(inst.loads) if n_i > 0]
     prev = st.total_cost()
     for _ in range(max_passes):
-        for i in owners:
-            l_minus = st.loads - st.R[i]
-            a = c[i] + l_minus / s
-            st.set_row(int(i), waterfill(s, a, float(n[i])))
+        for i, n_i in rows:
+            a = c[i] + (st.loads - st.R[i]) / s
+            st.set_row(i, waterfill(s, a, n_i))
         cost = st.total_cost()
         if prev - cost <= tol * max(1.0, abs(prev)):
             break

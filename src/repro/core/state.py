@@ -88,10 +88,15 @@ class AllocationState:
     # Mutations
     # ------------------------------------------------------------------
     def set_row(self, i: int, row: np.ndarray) -> None:
-        """Replace organization ``i``'s allocation (best-response update)."""
-        row = np.asarray(row, dtype=np.float64)
-        self.loads += row - self.R[i]
-        self.R[i] = row
+        """Replace organization ``i``'s allocation (best-response update).
+
+        ``row`` must not be a view of ``R[i]``: the update runs in place."""
+        R_i = self.R[i]
+        # loads += row − R_i without a temporary: R_i − row is the exact
+        # negation of row − R_i, so the loads match that update bit for bit.
+        np.subtract(R_i, row, out=R_i)
+        self.loads -= R_i
+        R_i[...] = row
 
     def apply_pair_columns(
         self, i: int, j: int, col_i: np.ndarray, col_j: np.ndarray

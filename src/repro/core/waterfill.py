@@ -19,10 +19,15 @@ with ``λ`` chosen so that ``Σ_j r_j(λ) = total``.  Instances of this system:
   l^{-i}_j / (2 s_j)``;
 * the replication-capped variants of Section VII (``u_j = n_i / R``).
 
-The solver is exact and runs in ``O(m log m)``.
+The solver is exact.  The unbounded solve costs ``O(m + k log k)``: an
+``O(m)`` pass keeps the ``k`` offsets that can be active (the level never
+exceeds the cheapest single-destination fill), and only those are sorted
+and scanned.  The capped solve sorts every breakpoint, ``O(m log m)``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -60,7 +65,7 @@ def waterfill(
     a = np.asarray(offsets, dtype=np.float64)
     if s.shape != a.shape or s.ndim != 1:
         raise ValueError("speeds and offsets must be 1-D arrays of equal length")
-    if np.any(s <= 0):
+    if s.size and s.min() <= 0:
         raise ValueError("speeds must be strictly positive")
     if total < 0:
         raise ValueError("total must be non-negative")
@@ -81,36 +86,38 @@ def waterfill(
 
 
 def _waterfill_unbounded(s: np.ndarray, a: np.ndarray, total: float) -> np.ndarray:
-    finite = np.isfinite(a)
-    if not np.any(finite):
+    # Σ_j s_j (λ − a_j)⁺ = total bounds every s_j (λ − a_j) by total, so
+    # the level never exceeds U = min_j (a_j + total/s_j), the cheapest
+    # single-destination fill, and only offsets a_j ≤ U can be active.
+    # The test is inclusive: where total/s_j underflows, U equals a_j.
+    fill = total / s
+    fill += a
+    U = fill.min()
+    # U is not finite when every fill is +inf (all destinations forbidden,
+    # or total/s_j overflowed) or an offset is nan/−inf: then the
+    # candidates are the finite offsets.
+    cand = (a <= U if math.isfinite(U) else np.isfinite(a)).nonzero()[0]
+    k = cand.size
+    if k == 0:
         raise ValueError("all destinations are forbidden (offsets are inf)")
-    idx = np.flatnonzero(finite)
-    a_f, s_f = a[idx], s[idx]
-    order = np.argsort(a_f, kind="stable")
-    a_sorted = a_f[order]
-    s_sorted = s_f[order]
-    s_cum = np.cumsum(s_sorted)
-    sa_cum = np.cumsum(s_sorted * a_sorted)
-    # With the K cheapest coordinates active the level is
-    #   λ_K = (total + Σ_{j≤K} s_j a_j) / Σ_{j≤K} s_j
-    # and the correct K is the largest one with a_sorted[K-1] ≤ λ_K,
-    # equivalently the smallest K whose λ_K is below the next breakpoint.
-    lam = (total + sa_cum) / s_cum
-    k = a_sorted.shape[0]
-    # Valid K: λ_K ≥ a_sorted[K-1] (active set consistent) and, when K < m,
-    # λ_K ≤ a_sorted[K] (inactive set consistent).  λ_K ≥ a_sorted[K-1]
-    # always holds for the minimal valid K; scan for the first consistent K.
-    nxt = np.empty(k)
-    nxt[:-1] = a_sorted[1:]
-    nxt[-1] = np.inf
-    valid = lam <= nxt
-    K = int(np.argmax(valid)) + 1  # first True
-    level = lam[K - 1]
-    r_sorted = np.maximum(0.0, s_sorted * (level - a_sorted))
-    r_f = np.empty_like(r_sorted)
-    r_f[order] = r_sorted
-    r = np.zeros_like(a)
-    r[idx] = r_f
+    if k > 1:
+        cand = cand[np.argsort(a[cand], kind="stable")]
+    a_s = a[cand].tolist()
+    s_s = s[cand].tolist()
+    # With the K cheapest candidates active the level is
+    #   λ_K = (total + Σ_{j≤K} s_j a_j) / Σ_{j≤K} s_j,
+    # and the answer is the first K whose λ_K does not pass the next
+    # breakpoint a_{K+1}.  Optimal rows are short, so a scalar scan that
+    # stops there is cheaper than prefix sums over all k candidates.
+    s_cum = sa_cum = 0.0
+    for K, (s_j, a_j) in enumerate(zip(s_s, a_s), 1):
+        s_cum += s_j
+        sa_cum += s_j * a_j
+        level = (total + sa_cum) / s_cum
+        if K == k or level <= a_s[K]:
+            break
+    r = np.zeros(a.shape[0])
+    r[cand[:K]] = [max(0.0, s_j * (level - a_j)) for s_j, a_j in zip(s_s, a_s[:K])]
     # Renormalize away accumulated float error so Σ r == total exactly.
     ssum = r.sum()
     if ssum > 0:

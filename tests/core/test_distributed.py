@@ -32,6 +32,21 @@ class TestBatchExchange:
             assert impr[j] == pytest.approx(ex.improvement, rel=1e-9, abs=1e-6)
             assert moved[j] == pytest.approx(ex.moved, rel=1e-9, abs=1e-6)
 
+    def test_moved_matches_per_pair_on_tied_differences(self):
+        """Tied latency differences split a transfer among owners of equal
+        cost; ``moved`` must report the split the exchange applies."""
+        rng = np.random.default_rng(12)
+        inst = make_random_instance(10, rng)
+        state = random_state(inst, rng)
+        owners = np.flatnonzero(inst.loads > 0)
+        d = inst.latency[:, 5] - inst.latency[:, 2]
+        assert np.unique(d).size < d.size  # the case needs ties
+        _, moved = batch_exchange_stats(inst, state.R, 2, owners, state.loads)
+        for j in range(inst.m):
+            if j != 2:
+                ex = calc_best_transfer(inst, state.R, 2, j)
+                assert moved[j] == pytest.approx(ex.moved, rel=1e-9, abs=1e-9)
+
     def test_self_column_is_minus_inf(self, rng):
         inst = make_random_instance(5, rng)
         state = random_state(inst, rng)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Instance
+from repro import AllocationState, Instance
 from repro.core.cost import cost_gradient
 from repro.core.qp import (
     project_simplex,
@@ -14,8 +14,10 @@ from repro.core.qp import (
     solve_optimal,
     solve_qp_scipy,
 )
+from repro.workloads import PRESETS, TRUST_PRESETS, get_scenario
 
 from ..conftest import make_random_instance
+from .test_waterfill import reference_waterfill_unbounded
 
 
 class TestProjectSimplex:
@@ -152,3 +154,45 @@ def test_cd_vs_fista_property(seed, m):
     fi = solve_fista(inst, max_iterations=4000).total_cost()
     assert cd <= fi * (1 + 1e-4) + 1e-9
     assert fi <= cd * (1 + 1e-3) + 1e-6
+
+
+def reference_coordinate_descent(inst, *, max_passes=500, tol=1e-12):
+    """The cyclic row loop on the full-sort water-fill, with the load
+    update written out of place; returns ΣCi at the start and after every
+    pass."""
+    st = AllocationState.initial(inst)
+    n, s, c = inst.loads, inst.speeds, inst.latency
+    costs = [st.total_cost()]
+    for _ in range(max_passes):
+        for i in np.flatnonzero(n > 0):
+            a = c[i] + (st.loads - st.R[i]) / s
+            row = reference_waterfill_unbounded(s, a, float(n[i]))
+            st.loads += row - st.R[i]
+            st.R[i] = row
+        costs.append(st.total_cost())
+        if costs[-2] - costs[-1] <= tol * max(1.0, abs(costs[-2])):
+            break
+    return costs
+
+
+@pytest.mark.parametrize(
+    ("name", "m", "max_passes"),
+    [(sc.name, 24, 500) for sc in PRESETS + TRUST_PRESETS]
+    + [("cdn-flashcrowd", 200, 20)],
+)
+def test_cd_trajectory_matches_reference(monkeypatch, name, m, max_passes):
+    """Same ΣCi after every pass, and the same pass count, as the full-sort
+    loop; the trust presets carry forbidden (inf) links."""
+    inst = get_scenario(name).instance(m=m, seed=0)
+    expected = reference_coordinate_descent(inst, max_passes=max_passes)
+    costs = []
+    total_cost = AllocationState.total_cost
+
+    def recorded(state):  # solve_coordinate_descent reads ΣCi once a pass
+        costs.append(total_cost(state))
+        return costs[-1]
+
+    monkeypatch.setattr(AllocationState, "total_cost", recorded)
+    solve_coordinate_descent(inst, max_passes=max_passes)
+    assert len(costs) == len(expected)
+    np.testing.assert_allclose(costs, expected, rtol=1e-12, atol=0)

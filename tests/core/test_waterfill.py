@@ -5,7 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.waterfill import waterfill, waterfill_value
+from repro.core.waterfill import _waterfill_unbounded, waterfill, waterfill_value
+
+
+def reference_waterfill_unbounded(s, a, total):
+    """The full-sort water-fill: every finite offset sorted, the level
+    from prefix sums over all of them.  The production kernel sorts only
+    the offsets that can be active and must agree with this one."""
+    finite = np.isfinite(a)
+    if not np.any(finite):
+        raise ValueError("all destinations are forbidden (offsets are inf)")
+    idx = np.flatnonzero(finite)
+    a_f, s_f = a[idx], s[idx]
+    order = np.argsort(a_f, kind="stable")
+    a_sorted = a_f[order]
+    s_sorted = s_f[order]
+    lam = (total + np.cumsum(s_sorted * a_sorted)) / np.cumsum(s_sorted)
+    nxt = np.append(a_sorted[1:], np.inf)
+    K = int(np.argmax(lam <= nxt)) + 1  # first consistent active set
+    r_sorted = np.maximum(0.0, s_sorted * (lam[K - 1] - a_sorted))
+    r = np.zeros_like(a)
+    r[idx[order]] = r_sorted
+    ssum = r.sum()
+    if ssum > 0:
+        r *= total / ssum
+    return r
 
 
 def brute_force_check(s, a, total, r, upper=None, tol=1e-6):
@@ -171,3 +195,45 @@ def test_waterfill_is_optimal_vs_random_feasible(data, m):
     for _ in range(10):
         x = rng.dirichlet(np.ones(m)) * total
         assert best <= waterfill_value(s, a, x) + 1e-6 * max(1.0, abs(best))
+
+
+#: Per-entry agreement with the full-sort reference, in units of ``total``.
+REFERENCE_TOL = 1e-12
+
+_offset = st.one_of(
+    st.floats(0.0, 100.0),
+    st.sampled_from([0.0, 1.0, 7.5, 7.5, np.inf]),  # ties and forbidden links
+)
+_total = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, 2.2250738585072014e-308),  # subnormal
+    st.floats(0.0, 1000.0),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), m=st.integers(min_value=1, max_value=12))
+def test_kernel_matches_full_sort_reference(data, m):
+    """Sorting only the candidates a_j ≤ min_j (a_j + total/s_j) gives the
+    full-sort answer: tied, ``+inf``, zero and subnormal inputs included."""
+    s = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m)))
+    a = np.array(data.draw(st.lists(_offset, min_size=m, max_size=m)))
+    if not np.isfinite(a).any():
+        a[data.draw(st.integers(0, m - 1))] = data.draw(st.floats(0.0, 100.0))
+    total = data.draw(_total)
+    r = _waterfill_unbounded(s, a, total)
+    ref = reference_waterfill_unbounded(s, a, total)
+    assert np.all(np.abs(r - ref) <= REFERENCE_TOL * total)
+    assert np.all(r[np.isinf(a)] == 0.0)
+
+
+@pytest.mark.parametrize("total", [0.0, 5e-324, 1e-310, 3.0])
+@pytest.mark.parametrize(
+    ("s", "a"),
+    [([0.5], [3.0]), ([1.0, 2.0, 3.0, 4.0], [np.inf, 4.0, np.inf, np.inf])],
+    ids=["m=1", "one-finite"],
+)
+def test_kernel_edge_cases_match_reference(s, a, total):
+    s, a = np.array(s), np.array(a)
+    r = _waterfill_unbounded(s, a, total)
+    assert np.array_equal(r, reference_waterfill_unbounded(s, a, total))
